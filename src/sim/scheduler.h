@@ -54,12 +54,12 @@ class TaskBoard {
   // -- the three take paths -----------------------------------------
   // (1) A pending task local to `node`, if any.
   std::optional<TaskId> take_local(cluster::NodeIndex node);
-  // (2) The next globally pending task for which `has_live_replica`
+  // (2) The next globally pending task for which `has_source`
   // holds; tasks failing the predicate are parked on the stalled queue,
   // stamped with the park time `now`.
   template <typename Pred>
   std::optional<TaskId> take_remote(common::Seconds now,
-                                    const Pred& has_live_replica);
+                                    const Pred& has_source);
   // (3) A parked task that has been stalled for at least `min_age`
   // seconds (ripe for an origin re-fetch).
   std::optional<TaskId> take_stalled(common::Seconds now,
@@ -134,13 +134,13 @@ class TaskBoard {
 
 template <typename Pred>
 std::optional<TaskId> TaskBoard::take_remote(common::Seconds now,
-                                             const Pred& has_live_replica) {
+                                             const Pred& has_source) {
   while (!global_.empty()) {
     const TaskId task = global_.front();
     global_.pop_front();
     flags_[task].in_global = false;
     if (status_[task] != TaskStatus::kPending) continue;
-    if (has_live_replica(task)) return task;
+    if (has_source(task)) return task;
     if (!flags_[task].in_stalled) {
       flags_[task].in_stalled = true;
       stalled_since_[task] = now;

@@ -89,7 +89,7 @@ cluster::Network make_net(std::size_t nodes) {
   return cluster::Network(config);
 }
 
-// Both retry drivers reject a degenerate max_backoff at construction
+// Both retry drivers reject a degenerate backoff.max at construction
 // instead of scheduling unbounded (or infinite) retry delays.
 TEST(Backoff, DriversRejectBadMaxBackoff) {
   sim::EventQueue queue;
@@ -98,18 +98,18 @@ TEST(Backoff, DriversRejectBadMaxBackoff) {
   const auto up = [](cluster::NodeIndex) { return true; };
 
   sim::ReReplicator::Config rconfig;
-  rconfig.max_backoff = 0.0;
+  rconfig.backoff.max = 0.0;
   EXPECT_THROW(sim::ReReplicator(queue, nn, net, 1024, rconfig, Rng(1), up),
                std::invalid_argument);
-  rconfig.max_backoff = std::numeric_limits<double>::infinity();
+  rconfig.backoff.max = std::numeric_limits<double>::infinity();
   EXPECT_THROW(sim::ReReplicator(queue, nn, net, 1024, rconfig, Rng(1), up),
                std::invalid_argument);
 
   sim::MigrationDriver::Config mconfig;
-  mconfig.max_backoff = 0.0;
+  mconfig.backoff.max = 0.0;
   EXPECT_THROW(sim::MigrationDriver(queue, nn, net, 1024, mconfig, Rng(1), up),
                std::invalid_argument);
-  mconfig.max_backoff = std::numeric_limits<double>::quiet_NaN();
+  mconfig.backoff.max = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(sim::MigrationDriver(queue, nn, net, 1024, mconfig, Rng(1), up),
                std::invalid_argument);
 }
