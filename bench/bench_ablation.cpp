@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     common::Table table({"speculation", "random r1 (s)", "adapt r1 (s)"});
     for (const bool speculation : {true, false}) {
       core::ExperimentConfig config = base;
-      config.job.speculation = speculation;
+      config.job.scheduler.speculation = speculation;
       config.policy = core::PolicyKind::kRandom;
       const auto random =
           exec.run_replications(cl, config, runs, sink.collector());

@@ -12,18 +12,6 @@ void check_gamma(double value) {
   }
 }
 
-void check_speculation_slack(double value) {
-  if (!(value > 0) || !std::isfinite(value)) {
-    throw ConfigError("speculation_slack", "must be positive and finite");
-  }
-}
-
-void check_max_concurrent_attempts(int value) {
-  if (value < 1 || value > 2) {
-    throw ConfigError("max_concurrent_attempts", "must be 1 or 2");
-  }
-}
-
 void check_transfer_stall_timeout(common::Seconds value) {
   if (value < 0 || !std::isfinite(value)) {
     throw ConfigError("transfer_stall_timeout",
@@ -133,7 +121,14 @@ void check_safe_mode(double threshold, common::Seconds hold) {
   }
 }
 
-void check_scheduler_max_attempts(int value) {
+void check_speculation_slack(double value) {
+  if (!(value > 0) || !std::isfinite(value)) {
+    throw ConfigError("scheduler.speculation_slack",
+                      "must be positive and finite");
+  }
+}
+
+void check_max_concurrent_attempts(int value) {
   if (value < 1 || value > 8) {
     throw ConfigError("scheduler.max_concurrent_attempts",
                       "must be in [1, 8]");
@@ -182,12 +177,8 @@ std::string to_string(SchedulerKind kind) {
 }
 
 void SchedulerConfig::validate() const {
-  if (speculation && (!(speculation_slack > 0) ||
-                      !std::isfinite(speculation_slack))) {
-    throw ConfigError("scheduler.speculation_slack",
-                      "must be positive and finite");
-  }
-  check_scheduler_max_attempts(max_concurrent_attempts);
+  if (speculation) check_speculation_slack(speculation_slack);
+  check_max_concurrent_attempts(max_concurrent_attempts);
   check_calibrated_margin(calibrated_margin);
   check_redundancy(redundancy);
   for (const double quote : node_quotes) {
@@ -199,26 +190,8 @@ void SchedulerConfig::validate() const {
   }
 }
 
-SchedulerConfig SimJobConfig::effective_scheduler() const {
-  SchedulerConfig merged = scheduler;
-  const SimJobConfig defaults;
-  if (speculation != defaults.speculation) merged.speculation = speculation;
-  if (speculation_slack != defaults.speculation_slack) {
-    merged.speculation_slack = speculation_slack;
-  }
-  if (speculation_overdue != defaults.speculation_overdue) {
-    merged.speculation_overdue = speculation_overdue;
-  }
-  if (max_concurrent_attempts != defaults.max_concurrent_attempts) {
-    merged.max_concurrent_attempts = max_concurrent_attempts;
-  }
-  return merged;
-}
-
 void SimJobConfig::validate() const {
   check_gamma(gamma);
-  if (speculation) check_speculation_slack(speculation_slack);
-  check_max_concurrent_attempts(max_concurrent_attempts);
   scheduler.validate();
   check_transfer_stall_timeout(transfer_stall_timeout);
   if (sample_dt < 0 || !std::isfinite(sample_dt)) {
@@ -289,9 +262,6 @@ SimJobConfig::Builder& SimJobConfig::Builder::gamma(double value) {
 SimJobConfig::Builder& SimJobConfig::Builder::speculation(
     bool enabled, double slack, common::Seconds overdue) {
   if (enabled) check_speculation_slack(slack);
-  config_.speculation = enabled;
-  config_.speculation_slack = slack;
-  config_.speculation_overdue = overdue;
   config_.scheduler.speculation = enabled;
   config_.scheduler.speculation_slack = slack;
   config_.scheduler.speculation_overdue = overdue;
@@ -301,7 +271,6 @@ SimJobConfig::Builder& SimJobConfig::Builder::speculation(
 SimJobConfig::Builder& SimJobConfig::Builder::max_concurrent_attempts(
     int value) {
   check_max_concurrent_attempts(value);
-  config_.max_concurrent_attempts = value;
   config_.scheduler.max_concurrent_attempts = value;
   return *this;
 }

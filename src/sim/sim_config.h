@@ -50,10 +50,7 @@ enum class SchedulerKind {
 
 std::string to_string(SchedulerKind kind);
 
-// Scheduling knobs, grouped. The flat SimJobConfig fields of the same
-// names are a one-release deprecation shim: a flat field set away from
-// its default overrides the sub-struct (effective_scheduler() merges),
-// so pre-existing callers keep their behavior byte-identical.
+// Scheduling knobs, grouped.
 struct SchedulerConfig {
   SchedulerKind kind = SchedulerKind::kBaseline;
   bool speculation = true;
@@ -85,16 +82,6 @@ struct SchedulerConfig {
 
 struct SimJobConfig {
   double gamma = 12.0;  // failure-free map task time, seconds (Table 4)
-  // -- deprecated flat speculation knobs ----------------------------
-  // Superseded by SchedulerConfig (the `scheduler` member below); kept
-  // one release so existing aggregates / Builder calls keep working.
-  // A flat field set away from its default wins over the sub-struct
-  // (see effective_scheduler()).
-  bool speculation = true;
-  double speculation_slack = 1.2;
-  common::Seconds speculation_overdue = -1.0;
-  int max_concurrent_attempts = 2;  // original + one speculative copy
-  // -----------------------------------------------------------------
   bool allow_origin_fetch = true;   // last resort when all replicas down
   // A task whose replicas are all offline is re-fetched from the origin
   // only after stalling this long (waiting out a short outage is cheaper
@@ -268,12 +255,6 @@ struct SimJobConfig {
   // the Builder calls the same predicates per setter.
   void validate() const;
 
-  // Deprecation merge: returns `scheduler` with any flat speculation
-  // knob that was moved off its default value overriding the matching
-  // sub-struct field. The simulation reads only the merged view, so
-  // legacy flat-knob callers and new SchedulerConfig callers agree.
-  SchedulerConfig effective_scheduler() const;
-
   class Builder;
 };
 
@@ -294,8 +275,7 @@ class SimJobConfig::Builder {
   explicit Builder(SimJobConfig base) : config_(std::move(base)) {}
 
   Builder& gamma(double value);
-  // Writes both the deprecated flat knobs and scheduler.* so either
-  // read path sees the same values.
+  // The scheduler.* speculation knobs.
   Builder& speculation(bool enabled, double slack = 1.2,
                        common::Seconds overdue = -1.0);
   Builder& max_concurrent_attempts(int value);

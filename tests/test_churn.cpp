@@ -104,7 +104,7 @@ TEST(Churn, PipelineOffAndOriginOffReportsDataLoss) {
   config.randomize_replay_offset = false;
   config.replay_horizon = 1e6;
   config.allow_origin_fetch = false;
-  config.speculation = false;
+  config.scheduler.speculation = false;
   config.churn.enabled = true;
   config.churn.heartbeat_interval = 1.0;
   config.churn.heartbeat_miss_threshold = 2;

@@ -285,39 +285,6 @@ TEST(SchedulerSimulation, RedundancyDegradesWhenKExceedsLiveNodes) {
             r.tasks + r.attempts_failed + r.attempts_killed);
 }
 
-TEST(SchedulerSimulation, BaselineKindMatchesLegacyFlatKnobs) {
-  // The merged default config must reproduce the historical scheduler
-  // decision-for-decision: same elapsed, same attempt counts.
-  cluster::EmulationConfig emu;
-  emu.node_count = 32;
-  emu.interrupted_ratio = 0.5;
-  const Cluster cluster = cluster::emulated_cluster(emu);
-  auto run_once = [&](bool via_scheduler_struct) {
-    hdfs::NameNode nn(cluster.size());
-    common::Rng rng(21);
-    const auto file = nn.create_file(
-        "f", 320, 1, placement::make_random_policy(cluster.size()), rng);
-    SimJobConfig config;
-    config.gamma = 6.0;
-    config.seed = 77;
-    if (via_scheduler_struct) {
-      config.scheduler.speculation_slack = 1.2;  // explicit defaults
-      config.scheduler.max_concurrent_attempts = 2;
-    } else {
-      config.speculation_slack = 1.2;
-      config.max_concurrent_attempts = 2;
-    }
-    MapReduceSimulation sim(cluster, nn, file, config);
-    return sim.run();
-  };
-  const JobResult a = run_once(true);
-  const JobResult b = run_once(false);
-  EXPECT_DOUBLE_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.attempts_started, b.attempts_started);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.speculative_launches, b.speculative_launches);
-}
-
 TEST(SchedulerFactory, RejectsInvalidConfig) {
   SchedulerConfig config;
   config.redundancy = 0;

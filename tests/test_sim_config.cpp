@@ -44,9 +44,9 @@ TEST(SimConfigTest, ConfigErrorNamesFieldAndDerivesInvalidArgument) {
 
 TEST(SimConfigTest, ValidateChecksHandFilledAggregates) {
   SimJobConfig config;
-  config.max_concurrent_attempts = 3;
+  config.scheduler.max_concurrent_attempts = 0;
   EXPECT_EQ(thrown_field([&] { config.validate(); }),
-            "max_concurrent_attempts");
+            "scheduler.max_concurrent_attempts");
 
   config = SimJobConfig{};
   config.transfer_stall_timeout = -1.0;
@@ -54,11 +54,12 @@ TEST(SimConfigTest, ValidateChecksHandFilledAggregates) {
             "transfer_stall_timeout");
 
   config = SimJobConfig{};
-  config.speculation = false;
-  config.speculation_slack = -1.0;  // irrelevant while speculation is off
+  config.scheduler.speculation = false;
+  config.scheduler.speculation_slack = -1.0;  // irrelevant while off
   EXPECT_NO_THROW(config.validate());
-  config.speculation = true;
-  EXPECT_EQ(thrown_field([&] { config.validate(); }), "speculation_slack");
+  config.scheduler.speculation = true;
+  EXPECT_EQ(thrown_field([&] { config.validate(); }),
+            "scheduler.speculation_slack");
 }
 
 TEST(SimConfigTest, ChurnChecksAreGatedOnEnabled) {
@@ -95,10 +96,10 @@ TEST(SimConfigBuilderTest, BuildsValidatedConfig) {
                                   .dead_timeout(120.0)
                                   .build();
   EXPECT_EQ(config.gamma, 8.0);
-  EXPECT_TRUE(config.speculation);
-  EXPECT_EQ(config.speculation_slack, 1.5);
-  EXPECT_EQ(config.speculation_overdue, 30.0);
-  EXPECT_EQ(config.max_concurrent_attempts, 1);
+  EXPECT_TRUE(config.scheduler.speculation);
+  EXPECT_EQ(config.scheduler.speculation_slack, 1.5);
+  EXPECT_EQ(config.scheduler.speculation_overdue, 30.0);
+  EXPECT_EQ(config.scheduler.max_concurrent_attempts, 1);
   EXPECT_FALSE(config.allow_origin_fetch);
   EXPECT_EQ(config.transfer_stall_timeout, 45.0);
   EXPECT_EQ(config.seed, 99u);
@@ -116,11 +117,13 @@ TEST(SimConfigBuilderTest, SettersFailEagerlyNamingTheField) {
   EXPECT_EQ(thrown_field([] { B().gamma(0.0); }), "gamma");
   EXPECT_EQ(thrown_field([] { B().gamma(-3.0); }), "gamma");
   EXPECT_EQ(thrown_field([] { B().speculation(true, 0.0); }),
-            "speculation_slack");
+            "scheduler.speculation_slack");
   EXPECT_EQ(thrown_field([] { B().max_concurrent_attempts(0); }),
-            "max_concurrent_attempts");
-  EXPECT_EQ(thrown_field([] { B().max_concurrent_attempts(3); }),
-            "max_concurrent_attempts");
+            "scheduler.max_concurrent_attempts");
+  EXPECT_EQ(thrown_field([] { B().max_concurrent_attempts(9); }),
+            "scheduler.max_concurrent_attempts");
+  // The setter admits the scheduler's full range.
+  EXPECT_NO_THROW(B().max_concurrent_attempts(8));
   EXPECT_EQ(thrown_field([] { B().transfer_stall_timeout(-0.5); }),
             "transfer_stall_timeout");
   EXPECT_EQ(thrown_field([] { B().departure_rate(-1.0); }),
@@ -143,7 +146,6 @@ TEST(SimConfigTest, SchedulerChecksNameStructuredFields) {
   config.scheduler.max_concurrent_attempts = 9;
   EXPECT_EQ(thrown_field([&] { config.validate(); }),
             "scheduler.max_concurrent_attempts");
-  // The scheduler struct admits a wider cap than the legacy flat knob.
   config.scheduler.max_concurrent_attempts = 3;
   EXPECT_NO_THROW(config.validate());
 
@@ -168,35 +170,7 @@ TEST(SimConfigTest, SchedulerChecksNameStructuredFields) {
   EXPECT_NO_THROW(config.scheduler.validate());
 }
 
-TEST(SimConfigTest, EffectiveSchedulerMergesFlatOverrides) {
-  // A flat knob moved off its default wins over the sub-struct (the
-  // one-release deprecation shim) ...
-  SimJobConfig config;
-  config.speculation_slack = 2.0;
-  config.scheduler.speculation_slack = 1.5;
-  EXPECT_EQ(config.effective_scheduler().speculation_slack, 2.0);
-
-  // ... while a flat knob left at its default defers to it.
-  config = SimJobConfig{};
-  config.scheduler.speculation_slack = 1.5;
-  config.scheduler.speculation = false;
-  config.scheduler.max_concurrent_attempts = 4;
-  const auto merged = config.effective_scheduler();
-  EXPECT_EQ(merged.speculation_slack, 1.5);
-  EXPECT_FALSE(merged.speculation);
-  EXPECT_EQ(merged.max_concurrent_attempts, 4);
-
-  // Kind and the per-kind knobs have no flat counterpart: always taken
-  // from the sub-struct.
-  config = SimJobConfig{};
-  config.scheduler.kind = adapt::sim::SchedulerKind::kRedundant;
-  config.scheduler.redundancy = 3;
-  EXPECT_EQ(config.effective_scheduler().kind,
-            adapt::sim::SchedulerKind::kRedundant);
-  EXPECT_EQ(config.effective_scheduler().redundancy, 3);
-}
-
-TEST(SimConfigBuilderTest, SchedulerSettersWriteBothViews) {
+TEST(SimConfigBuilderTest, SchedulerSettersWriteSchedulerFields) {
   using adapt::sim::SchedulerKind;
   const SimJobConfig config = SimJobConfig::Builder()
                                   .speculation(true, 1.4, 25.0)
@@ -205,10 +179,8 @@ TEST(SimConfigBuilderTest, SchedulerSettersWriteBothViews) {
                                   .calibrated_margin(2.5)
                                   .redundancy(4)
                                   .build();
-  EXPECT_EQ(config.speculation_slack, 1.4);
   EXPECT_EQ(config.scheduler.speculation_slack, 1.4);
   EXPECT_EQ(config.scheduler.speculation_overdue, 25.0);
-  EXPECT_EQ(config.max_concurrent_attempts, 1);
   EXPECT_EQ(config.scheduler.max_concurrent_attempts, 1);
   EXPECT_EQ(config.scheduler.kind, SchedulerKind::kCalibrated);
   EXPECT_EQ(config.scheduler.calibrated_margin, 2.5);

@@ -96,7 +96,7 @@ TEST(Simulation, RemoteExecutionCanBeDisabled) {
   SimJobConfig config;
   config.gamma = 30.0;
   config.remote_execution = false;
-  config.speculation = false;
+  config.scheduler.speculation = false;
   config.allow_origin_fetch = false;
   MapReduceSimulation sim(cluster, nn, file, config);
   const JobResult r = sim.run();
@@ -196,7 +196,7 @@ TEST(Simulation, TransferStallsThroughShortSourceOutage) {
   config.randomize_replay_offset = false;
   config.transfer_stall_timeout = 60.0;
   config.replay_horizon = 1e4;
-  config.speculation = false;
+  config.scheduler.speculation = false;
   MapReduceSimulation sim(cluster, nn, file, config);
   const JobResult r = sim.run();
   const double transfer = common::transfer_time(64 * kMiB, mbps(8));
@@ -284,7 +284,7 @@ TEST_P(SimulationProperties, InvariantsHold) {
   SimJobConfig config;
   config.gamma = 6.0;
   config.seed = param.seed;
-  config.speculation = param.speculation;
+  config.scheduler.speculation = param.speculation;
   config.allow_origin_fetch = param.origin;
   MapReduceSimulation sim(cluster, nn, file, config);
   const JobResult r = sim.run();
@@ -359,7 +359,7 @@ TEST(Simulation, ValidatesConfig) {
   EXPECT_THROW(MapReduceSimulation(cluster, nn, file, config),
                std::invalid_argument);
   config.gamma = 1.0;
-  config.max_concurrent_attempts = 3;
+  config.scheduler.max_concurrent_attempts = 9;
   EXPECT_THROW(MapReduceSimulation(cluster, nn, file, config),
                std::invalid_argument);
 }
