@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
   const common::Flags flags(argc, argv);
   const bench::BenchOptions common_opts = bench::bench_options(
       flags, {.runs = 5, .full_runs = 10, .seed = 2012});
-  const bool full = common_opts.full;
   const int runs = common_opts.runs;
   const std::uint64_t seed = common_opts.seed;
   const bench::RunnerOptions& options = common_opts.runner;

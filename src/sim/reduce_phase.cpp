@@ -19,6 +19,15 @@ cluster::Network::Config network_config(const cluster::Cluster& cluster) {
   return config;
 }
 
+InterruptionInjector::Config injector_config(const ReduceConfig& config) {
+  InterruptionInjector::Config c;
+  c.replay_horizon = config.replay_horizon;
+  c.randomize_replay_offset = config.randomize_replay_offset;
+  c.replay_offsets = config.replay_offsets;
+  c.initial_down_until = config.initial_down_until;
+  return c;
+}
+
 }  // namespace
 
 ReducePhaseSimulation::ReducePhaseSimulation(
@@ -30,10 +39,7 @@ ReducePhaseSimulation::ReducePhaseSimulation(
       rng_(common::Rng(config_.seed).fork(0x2ed0)),
       injector_(queue_, cluster.nodes, *this,
                 common::Rng(config_.seed).fork(0x2ed1),
-                InterruptionInjector::Config{config_.replay_horizon,
-                                             config_.randomize_replay_offset,
-                                             config_.replay_offsets,
-                                             config_.initial_down_until}),
+                injector_config(config_)),
       up_(cluster.size(), true) {
   if (map_winners.empty()) {
     throw std::invalid_argument("reduce: no map outputs");

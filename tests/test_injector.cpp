@@ -372,7 +372,9 @@ TEST(Injector, ReplayWrapAroundKeepsIntervalsOrderedAndPeriodic) {
       // Strict down/up alternation starting with a down...
       EXPECT_EQ(events[i].up, i % 2 == 1);
       // ...at strictly increasing times.
-      if (i > 0) EXPECT_GT(events[i].when, events[i - 1].when);
+      if (i > 0) {
+        EXPECT_GT(events[i].when, events[i - 1].when);
+      }
     }
     // Periodicity: cycle c is the recorded trace shifted by c * horizon.
     const std::size_t per_cycle = 2 * nodes[n].down_intervals.size();

@@ -63,7 +63,9 @@ TEST(Generator, EventsSortedAndInRange) {
     EXPECT_GE(e.start, 0.0);
     EXPECT_LT(e.start, gen.trace.horizon);
     EXPECT_GT(e.duration, 0.0);
-    if (i > 0) EXPECT_GE(e.start, gen.trace.events[i - 1].start);
+    if (i > 0) {
+      EXPECT_GE(e.start, gen.trace.events[i - 1].start);
+    }
   }
 }
 
