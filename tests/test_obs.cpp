@@ -245,6 +245,55 @@ TEST(Tracer, RingOverflowKeepsNewestAndCountsDrops) {
   }
 }
 
+// What to_jsonl writes for the records the test below builds.
+constexpr const char* kEveryEventTypeJsonl = R"jsonl({"run": 0, "t": 0.33333333333333331, "ev": "placement", "block": 1000, "replica": 0, "node": 17}
+{"run": 0, "t": 0.58333333333333326, "ev": "node_down", "node": 19, "slots": 2}
+{"run": 0, "t": 0.83333333333333326, "ev": "attempt_start", "task": 1004, "node": 21, "src": -1, "spec": 1, "ticket": 75}
+{"run": 0, "t": 1.0833333333333333, "ev": "attempt_kill", "task": 1006, "node": 23, "reason": "source_timeout"}
+{"run": 0, "t": 1.3333333333333333, "ev": "transfer_stall", "task": 1008, "src": -1, "ticket": 79}
+{"run": 0, "t": 1.5833333333333333, "ev": "transfer_abort", "task": 1010, "src": -1, "ticket": 81, "reason": "source_timeout", "reclaimed": 8.5}
+{"run": 0, "t": 1.8333333333333333, "ev": "task_revive", "task": 1012, "node": 29}
+{"run": 0, "t": 2.0833333333333335, "ev": "node_dead", "node": 31, "replicas": 2}
+{"run": 0, "t": 2.3333333333333335, "ev": "rereplication_start", "block": 1016, "src": -1, "dst": 33, "ticket": 87, "attempt": 1, "start": 14.5, "end": 1000000002.2857143}
+{"run": 0, "t": 2.5833333333333335, "ev": "rereplication_retry", "block": 1018, "reason": "source_timeout", "attempt": 0, "next": 16.5}
+{"run": 0, "t": 2.8333333333333335, "ev": "predictor_drift", "node": 37, "score": 18.5, "latency": 1000000002.8571428}
+{"run": 0, "t": 3.0833333333333335, "ev": "migration_start", "block": 1022, "src": -1, "dst": 39, "ticket": 93, "attempt": 1, "start": 20.5, "end": 1000000003.1428572}
+{"run": 0, "t": 3.3333333333333335, "ev": "migration_retry", "block": 1024, "reason": "source_timeout", "attempt": 0, "next": 22.5}
+{"run": 0, "t": 3.5833333333333335, "ev": "partition_start", "nodes": 2}
+{"run": 0, "t": 3.8333333333333335, "ev": "straggler_start", "node": 45, "slow": 26.5}
+{"run": 0, "t": 4.083333333333333, "ev": "replica_corrupt", "block": 1030, "node": 47}
+{"run": 0, "t": 4.333333333333333, "ev": "safe_mode_enter", "deferred": 2, "fraction": 30.5}
+{"run": 0, "t": 4.583333333333333, "ev": "node_revived", "node": 51, "restored": 1034, "trimmed": 1}
+{"run": 0, "t": 4.833333333333333, "ev": "replica_writeoff", "block": 1036, "node": 53, "false_positive": 0}
+{"run": 0, "t": 5.083333333333333, "ev": "replica_trim", "block": 1038, "node": 55}
+{"run": 0, "t": 40, "ev": "placement", "block": 7, "replica": 2, "node": 5, "quote": 1.7142857142857142}
+{"run": 1, "t": 0.45833333333333331, "ev": "job_start", "nodes": 18, "tasks": 1001}
+{"run": 1, "t": 0.70833333333333326, "ev": "node_up", "node": 20}
+{"run": 1, "t": 0.95833333333333326, "ev": "attempt_finish", "task": 1005, "node": 22, "kind": "origin"}
+{"run": 1, "t": 1.2083333333333333, "ev": "transfer_request", "task": 1007, "src": 7, "dst": 24, "ticket": 78, "start": 5.5, "end": 1000000001}
+{"run": 1, "t": 1.4583333333333333, "ev": "transfer_resume", "task": 1009, "src": 9, "ticket": 80, "end": 7.5}
+{"run": 1, "t": 1.7083333333333333, "ev": "task_park", "task": 1011}
+{"run": 1, "t": 1.9583333333333333, "ev": "job_end", "tasks": 1013}
+{"run": 1, "t": 2.2083333333333335, "ev": "replica_lost", "block": 1015, "recoverable": 0}
+{"run": 1, "t": 2.4583333333333335, "ev": "rereplication_done", "block": 1017, "src": 17, "dst": 34, "ticket": 88, "bytes": 15.5}
+{"run": 1, "t": 2.7083333333333335, "ev": "rereplication_giveup", "block": 1019, "attempts": 1}
+{"run": 1, "t": 2.9583333333333335, "ev": "rebalance_trigger", "moves": 1021, "alarms": 0}
+{"run": 1, "t": 3.2083333333333335, "ev": "migration_commit", "block": 1023, "src": 23, "dst": 40, "ticket": 94, "bytes": 21.5}
+{"run": 1, "t": 3.4583333333333335, "ev": "migration_giveup", "block": 1025, "attempts": 1}
+{"run": 1, "t": 3.7083333333333335, "ev": "partition_heal", "nodes": 0}
+{"run": 1, "t": 3.9583333333333335, "ev": "straggler_end", "node": 46}
+{"run": 1, "t": 4.208333333333333, "ev": "corrupt_read", "block": 1031, "node": 48, "path": "remote"}
+{"run": 1, "t": 4.458333333333333, "ev": "safe_mode_exit", "writeoffs": 1033, "healed": 0}
+{"run": 1, "t": 4.708333333333333, "ev": "redundant_waste", "task": 1035, "node": 52, "bytes": 33.5}
+{"run": 1, "t": 4.958333333333333, "ev": "replica_restore", "block": 1037, "node": 54}
+{"run": 1, "t": 41, "ev": "attempt_finish", "task": 9, "node": 3, "kind": "local"}
+{"run": 1, "t": 41, "ev": "corrupt_read", "block": 9, "node": 3, "path": "local"}
+{"run": 1, "t": 42, "ev": "attempt_finish", "task": 9, "node": 3, "kind": "remote"}
+{"run": 1, "t": 42, "ev": "corrupt_read", "block": 9, "node": 3, "path": "remote"}
+{"run": 1, "t": 43, "ev": "attempt_finish", "task": 9, "node": 3, "kind": "origin"}
+{"run": 1, "t": 43, "ev": "corrupt_read", "block": 9, "node": 3, "path": "scan"}
+)jsonl";
+
 TEST(Trace, JsonlRoundTripsEveryEventType) {
   // One record per event type, with distinctive field values; the
   // parser must reproduce every serialized field bit-for-bit.
@@ -264,7 +313,31 @@ TEST(Trace, JsonlRoundTripsEveryEventType) {
     r.v1 = 1e9 + static_cast<double>(i) / 7.0;
     runs[i % 2].records.push_back(r);
   }
+  // What one record per type cannot reach: a placement quote (written
+  // only when positive) and every attempt_finish kind / corrupt_read path.
+  obs::TraceRecord quoted;
+  quoted.t = 40.0;
+  quoted.type = obs::EventType::kPlacement;
+  quoted.task = 7;
+  quoted.aux = 2;
+  quoted.node = 5;
+  quoted.v0 = 12.0 / 7.0;
+  runs[0].records.push_back(quoted);
+  for (std::uint32_t aux = 0; aux < 3; ++aux) {
+    for (const obs::EventType type :
+         {obs::EventType::kAttemptFinish, obs::EventType::kCorruptRead}) {
+      obs::TraceRecord r;
+      r.t = 41.0 + aux;
+      r.type = type;
+      r.task = 9;
+      r.node = 3;
+      r.aux = aux;
+      runs[1].records.push_back(r);
+    }
+  }
   const std::string jsonl = obs::to_jsonl(runs);
+  // The writer's bytes for every event type and codec value, pinned.
+  EXPECT_EQ(jsonl, kEveryEventTypeJsonl);
   const std::vector<obs::RunObservations> parsed = obs::parse_jsonl(jsonl);
   // Round-trip must be lossless for every serialized field, which we
   // check by re-serializing: byte-identical JSONL implies field-identical
