@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace adapt::common {
 
@@ -40,6 +41,16 @@ std::string json_number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) throw std::runtime_error("cannot open " + path);
+  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
+  const int close_rc = std::fclose(file);
+  if (written != text.size() || close_rc != 0) {
+    throw std::runtime_error("short write to " + path);
+  }
 }
 
 }  // namespace adapt::common

@@ -1,5 +1,6 @@
-// Deterministic JSON fragment formatting shared by every machine-
-// readable emitter (runner reports, observability traces, metrics).
+// Deterministic JSON fragment formatting and the file writer shared by
+// every machine-readable emitter (runner reports, observability traces,
+// metrics).
 //
 // The contract all emitters rely on: fixed key order decided by the
 // caller, locale-independent "%.17g" doubles (round-trip exact), and no
@@ -17,5 +18,9 @@ std::string json_escape(const std::string& s);
 // "%.17g" rendering; non-finite values become "null" so consumers fail
 // loudly rather than parse garbage (JSON has no Infinity/NaN).
 std::string json_number(double v);
+
+// Write `text` to `path` in one piece; throws std::runtime_error naming
+// the path when the file cannot be opened or fully written.
+void write_file(const std::string& path, const std::string& text);
 
 }  // namespace adapt::common

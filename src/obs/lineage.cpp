@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <stdexcept>
 
 #include "common/jsonfmt.h"
 
@@ -591,18 +590,6 @@ void append_task_line(std::string& out, std::uint64_t run,
   out += "]}\n";
 }
 
-void write_text(const std::string& path, const std::string& text) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw std::runtime_error("lineage: cannot open " + path);
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  const int close_rc = std::fclose(file);
-  if (written != text.size() || close_rc != 0) {
-    throw std::runtime_error("lineage: short write to " + path);
-  }
-}
-
 }  // namespace
 
 std::string lineage_to_jsonl(const std::vector<RunObservations>& runs) {
@@ -635,7 +622,7 @@ std::string lineage_to_jsonl(const std::vector<RunObservations>& runs) {
 
 void write_lineage_jsonl(const std::string& path,
                          const std::vector<RunObservations>& runs) {
-  write_text(path, lineage_to_jsonl(runs));
+  common::write_file(path, lineage_to_jsonl(runs));
 }
 
 }  // namespace adapt::obs

@@ -1,9 +1,9 @@
 #include "obs/perfetto.h"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <stdexcept>
+
+#include "common/jsonfmt.h"
 
 namespace adapt::obs {
 
@@ -225,18 +225,6 @@ void export_run(std::string& out, std::uint64_t run,
   }
 }
 
-void write_text(const std::string& path, const std::string& text) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw std::runtime_error("perfetto: cannot open " + path);
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  const int close_rc = std::fclose(file);
-  if (written != text.size() || close_rc != 0) {
-    throw std::runtime_error("perfetto: short write to " + path);
-  }
-}
-
 }  // namespace
 
 std::string perfetto_json(const std::vector<RunObservations>& runs) {
@@ -254,7 +242,7 @@ std::string perfetto_json(const std::vector<RunObservations>& runs) {
 
 void write_perfetto_json(const std::string& path,
                          const std::vector<RunObservations>& runs) {
-  write_text(path, perfetto_json(runs));
+  common::write_file(path, perfetto_json(runs));
 }
 
 }  // namespace adapt::obs

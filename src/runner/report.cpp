@@ -1,8 +1,5 @@
 #include "runner/report.h"
 
-#include <cstdio>
-#include <stdexcept>
-
 #include "common/jsonfmt.h"
 
 namespace adapt::runner {
@@ -197,17 +194,7 @@ std::string Report::to_json() const {
 }
 
 void Report::write(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw std::runtime_error("report: cannot open " + path);
-  }
-  const std::string json = to_json();
-  const std::size_t written =
-      std::fwrite(json.data(), 1, json.size(), file);
-  const int close_rc = std::fclose(file);
-  if (written != json.size() || close_rc != 0) {
-    throw std::runtime_error("report: short write to " + path);
-  }
+  common::write_file(path, to_json());
 }
 
 }  // namespace adapt::runner
