@@ -1,17 +1,12 @@
 #include "obs/replay.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <limits>
 #include <map>
-#include <stdexcept>
 #include <utility>
 
 namespace adapt::obs {
 
 namespace {
-
-constexpr std::uint32_t kOrigin = std::numeric_limits<std::uint32_t>::max();
 
 template <typename T>
 void grow_to(std::vector<T>& v, std::size_t index) {
@@ -228,353 +223,6 @@ ReplaySummary replay(const std::vector<TraceRecord>& records) {
     out.total_busy += n.busy;
   }
   return out;
-}
-
-// ---------------------------------------------------------------------
-// JSONL parsing (the subset to_jsonl emits: one flat object per line,
-// string values without escapes, integer and %.17g number values).
-// ---------------------------------------------------------------------
-
-namespace {
-
-struct LineFields {
-  // Parallel key/value lists in line order.
-  std::vector<std::pair<std::string, std::string>> fields;
-
-  const std::string* find(const char* key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-LineFields parse_line(const std::string& line, std::size_t line_no) {
-  LineFields out;
-  std::size_t i = 0;
-  const auto fail = [line_no](const std::string& what) -> void {
-    throw std::runtime_error("trace parse error on line " +
-                             std::to_string(line_no) + ": " + what);
-  };
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') fail("expected '{'");
-  ++i;
-  while (true) {
-    skip_ws();
-    if (i < line.size() && line[i] == '}') break;
-    if (i >= line.size() || line[i] != '"') fail("expected key");
-    const std::size_t key_end = line.find('"', i + 1);
-    if (key_end == std::string::npos) fail("unterminated key");
-    std::string key = line.substr(i + 1, key_end - i - 1);
-    i = key_end + 1;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') fail("expected ':'");
-    ++i;
-    skip_ws();
-    std::string value;
-    if (i < line.size() && line[i] == '"') {
-      const std::size_t val_end = line.find('"', i + 1);
-      if (val_end == std::string::npos) fail("unterminated value");
-      value = line.substr(i + 1, val_end - i - 1);
-      i = val_end + 1;
-    } else {
-      const std::size_t start = i;
-      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      value = line.substr(start, i - start);
-      while (!value.empty() && value.back() == ' ') value.pop_back();
-      if (value.empty()) fail("empty value");
-    }
-    out.fields.emplace_back(std::move(key), std::move(value));
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < line.size() && line[i] == '}') break;
-    fail("expected ',' or '}'");
-  }
-  return out;
-}
-
-double as_double(const std::string& s) { return std::strtod(s.c_str(), nullptr); }
-
-std::uint64_t as_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
-}
-
-// src fields serialize the origin endpoint as -1.
-std::uint32_t as_endpoint(const std::string& s) {
-  if (!s.empty() && s[0] == '-') return kOrigin;
-  return static_cast<std::uint32_t>(as_u64(s));
-}
-
-EventType event_from_name(const std::string& name, std::size_t line_no) {
-  for (std::size_t i = 0; i < kEventTypeCount; ++i) {
-    const auto type = static_cast<EventType>(i);
-    if (name == to_string(type)) return type;
-  }
-  throw std::runtime_error("trace parse error on line " +
-                           std::to_string(line_no) +
-                           ": unknown event '" + name + "'");
-}
-
-TraceReason reason_from_name(const std::string& name) {
-  for (const auto reason :
-       {TraceReason::kNone, TraceReason::kNodeDown,
-        TraceReason::kSourceTimeout, TraceReason::kRedundant,
-        TraceReason::kChecksum}) {
-    if (name == to_string(reason)) return reason;
-  }
-  return TraceReason::kNone;
-}
-
-}  // namespace
-
-std::vector<RunObservations> parse_jsonl(const std::string& text) {
-  std::vector<RunObservations> runs;
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    const LineFields fields = parse_line(line, line_no);
-    const std::string* run_str = fields.find("run");
-    const std::string* ev = fields.find("ev");
-    if (run_str == nullptr || ev == nullptr) {
-      throw std::runtime_error("trace parse error on line " +
-                               std::to_string(line_no) +
-                               ": missing run/ev");
-    }
-    const auto run = static_cast<std::size_t>(as_u64(*run_str));
-    if (runs.size() <= run) runs.resize(run + 1);
-    if (*ev == "dropped") {
-      if (const std::string* count = fields.find("count")) {
-        runs[run].dropped = as_u64(*count);
-      }
-      continue;
-    }
-
-    TraceRecord r;
-    r.type = event_from_name(*ev, line_no);
-    const auto get = [&fields](const char* key) -> const std::string* {
-      return fields.find(key);
-    };
-    if (const auto* v = get("t")) r.t = as_double(*v);
-    if (const auto* v = get("node")) r.node = static_cast<std::uint32_t>(as_u64(*v));
-    if (const auto* v = get("dst")) r.node = static_cast<std::uint32_t>(as_u64(*v));
-    if (const auto* v = get("src")) r.peer = as_endpoint(*v);
-    if (const auto* v = get("task")) r.task = static_cast<std::uint32_t>(as_u64(*v));
-    if (const auto* v = get("block")) r.task = static_cast<std::uint32_t>(as_u64(*v));
-    if (const auto* v = get("ticket")) r.ticket = as_u64(*v);
-    if (const auto* v = get("reason")) r.reason = reason_from_name(*v);
-    switch (r.type) {
-      case EventType::kPlacement:
-        if (const auto* v = get("replica")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("quote")) r.v0 = as_double(*v);
-        break;
-      case EventType::kJobStart:
-        if (const auto* v = get("nodes")) {
-          r.node = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("tasks")) {
-          r.task = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kNodeDown:
-        if (const auto* v = get("slots")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kAttemptStart:
-        if (const auto* v = get("spec")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kAttemptFinish:
-        if (const auto* v = get("kind")) {
-          r.aux = *v == "local" ? 0u : *v == "remote" ? 1u : 2u;
-        }
-        break;
-      case EventType::kTransferRequest:
-        if (const auto* v = get("start")) r.v0 = as_double(*v);
-        if (const auto* v = get("end")) r.v1 = as_double(*v);
-        break;
-      case EventType::kTransferResume:
-        if (const auto* v = get("end")) r.v0 = as_double(*v);
-        break;
-      case EventType::kTransferAbort:
-        if (const auto* v = get("reclaimed")) r.v0 = as_double(*v);
-        break;
-      case EventType::kJobEnd:
-        if (const auto* v = get("tasks")) {
-          r.task = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kNodeDead:
-        if (const auto* v = get("replicas")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kReplicaLost:
-        if (const auto* v = get("recoverable")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kRereplicationStart:
-        if (const auto* v = get("attempt")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("start")) r.v0 = as_double(*v);
-        if (const auto* v = get("end")) r.v1 = as_double(*v);
-        break;
-      case EventType::kRereplicationDone:
-        if (const auto* v = get("bytes")) r.v0 = as_double(*v);
-        break;
-      case EventType::kRereplicationRetry:
-        if (const auto* v = get("attempt")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("next")) r.v0 = as_double(*v);
-        break;
-      case EventType::kRereplicationGiveup:
-        if (const auto* v = get("attempts")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kPredictorDrift:
-        if (const auto* v = get("score")) r.v0 = as_double(*v);
-        if (const auto* v = get("latency")) r.v1 = as_double(*v);
-        break;
-      case EventType::kRebalanceTrigger:
-        if (const auto* v = get("moves")) {
-          r.task = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("alarms")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kMigrationStart:
-        if (const auto* v = get("attempt")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("start")) r.v0 = as_double(*v);
-        if (const auto* v = get("end")) r.v1 = as_double(*v);
-        break;
-      case EventType::kMigrationCommit:
-        if (const auto* v = get("bytes")) r.v0 = as_double(*v);
-        break;
-      case EventType::kMigrationRetry:
-        if (const auto* v = get("attempt")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("next")) r.v0 = as_double(*v);
-        break;
-      case EventType::kMigrationGiveup:
-        if (const auto* v = get("attempts")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kPartitionStart:
-      case EventType::kPartitionHeal:
-        if (const auto* v = get("nodes")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kStragglerStart:
-        if (const auto* v = get("slow")) r.v0 = as_double(*v);
-        break;
-      case EventType::kCorruptRead:
-        if (const auto* v = get("path")) {
-          r.aux = *v == "local" ? 0u : *v == "remote" ? 1u : 2u;
-        }
-        break;
-      case EventType::kSafeModeEnter:
-        if (const auto* v = get("deferred")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("fraction")) r.v0 = as_double(*v);
-        break;
-      case EventType::kSafeModeExit:
-        if (const auto* v = get("writeoffs")) {
-          r.task = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("healed")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kNodeRevived:
-        if (const auto* v = get("restored")) {
-          r.task = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        if (const auto* v = get("trimmed")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      case EventType::kRedundantWaste:
-        if (const auto* v = get("bytes")) r.v0 = as_double(*v);
-        break;
-      case EventType::kReplicaWriteoff:
-        if (const auto* v = get("false_positive")) {
-          r.aux = static_cast<std::uint32_t>(as_u64(*v));
-        }
-        break;
-      default:
-        break;
-    }
-    runs[run].records.push_back(r);
-  }
-  return runs;
-}
-
-std::vector<std::vector<SpanRecord>> parse_spans_jsonl(
-    const std::string& text) {
-  std::vector<std::vector<SpanRecord>> runs;
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    const LineFields fields = parse_line(line, line_no);
-    const std::string* run_str = fields.find("run");
-    const std::string* name = fields.find("span");
-    if (run_str == nullptr || name == nullptr) {
-      throw std::runtime_error("span parse error on line " +
-                               std::to_string(line_no) +
-                               ": missing run/span");
-    }
-    const auto run = static_cast<std::size_t>(as_u64(*run_str));
-    if (runs.size() <= run) runs.resize(run + 1);
-
-    SpanRecord s;
-    s.name = *name;
-    if (const auto* v = fields.find("depth")) {
-      s.depth = static_cast<std::uint32_t>(as_u64(*v));
-    }
-    if (const auto* v = fields.find("t0")) s.start = as_double(*v);
-    if (const auto* v = fields.find("dur")) s.dur_sim = as_double(*v);
-    if (const auto* v = fields.find("self")) s.self_sim = as_double(*v);
-    if (const auto* v = fields.find("host_ns")) s.dur_host_ns = as_u64(*v);
-    if (const auto* v = fields.find("host_self_ns")) {
-      s.self_host_ns = as_u64(*v);
-    }
-    runs[run].push_back(std::move(s));
-  }
-  return runs;
 }
 
 std::vector<PhaseTotals> fold_spans(const std::vector<SpanRecord>& spans) {

@@ -92,17 +92,6 @@ struct ReplaySummary {
 // Replay one run's records (in recorded order).
 ReplaySummary replay(const std::vector<TraceRecord>& records);
 
-// Parse JSONL produced by to_jsonl back into per-run record lists,
-// indexed by run. {"ev": "dropped"} marker lines set the run's dropped
-// count. Throws std::runtime_error on malformed input.
-std::vector<RunObservations> parse_jsonl(const std::string& text);
-
-// Parse a span stream produced by spans_to_jsonl back into per-run span
-// lists, indexed by run. Host-time fields parse when present and stay
-// zero otherwise. Throws std::runtime_error on malformed input.
-std::vector<std::vector<SpanRecord>> parse_spans_jsonl(
-    const std::string& text);
-
 // Per-phase span totals: fold a run's span records by name.
 struct PhaseTotals {
   std::string name;

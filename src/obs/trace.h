@@ -7,7 +7,9 @@
 // its own tracer; the caller concatenates runs in job-index order; the
 // serializer uses fixed per-type key order and "%.17g" doubles. Two
 // invocations with the same seed therefore produce byte-identical trace
-// files no matter how runs were scheduled across worker threads.
+// files no matter how runs were scheduled across worker threads. One
+// table in trace.cpp defines each event type's name and JSONL keys; the
+// writer, the parser and to_string(EventType) all read it.
 //
 // The disabled path is near-zero cost: instrumented code holds a tracer
 // pointer that is null when tracing is off, so every site is a single
@@ -99,8 +101,9 @@ enum class TraceReason : std::uint8_t {
 const char* to_string(EventType type);
 const char* to_string(TraceReason reason);
 
-// One fixed-size record; field meaning depends on `type` (see the JSONL
-// schema in DESIGN.md). Unused fields stay zero.
+// One fixed-size record; field meaning depends on `type` (the schema
+// table in trace.cpp maps each field to its JSONL key). Unused fields
+// stay zero.
 struct TraceRecord {
   common::Seconds t = 0.0;
   EventType type = EventType::kJobStart;
@@ -207,6 +210,12 @@ std::string to_jsonl(const std::vector<RunObservations>& runs);
 void write_jsonl(const std::string& path,
                  const std::vector<RunObservations>& runs);
 
+// Parse JSONL produced by to_jsonl back into per-run record lists,
+// indexed by run. {"ev": "dropped"} marker lines set the run's dropped
+// count; keys a line lacks leave their record fields zero. Throws
+// std::runtime_error on malformed input.
+std::vector<RunObservations> parse_jsonl(const std::string& text);
+
 // Span stream, one JSONL line per closed span in close order:
 // {"run": N, "span": "...", "depth": D, "t0": ..., "dur": ...,
 //  "self": ...} — plus "host_ns"/"host_self_ns" when `include_host`
@@ -216,6 +225,12 @@ std::string spans_to_jsonl(const std::vector<RunObservations>& runs,
 void write_spans_jsonl(const std::string& path,
                        const std::vector<RunObservations>& runs,
                        bool include_host);
+
+// Parse a span stream produced by spans_to_jsonl back into per-run span
+// lists, indexed by run. Host-time fields parse when present and stay
+// zero otherwise. Throws std::runtime_error on malformed input.
+std::vector<std::vector<SpanRecord>> parse_spans_jsonl(
+    const std::string& text);
 
 // Time-series stream, one JSONL line per sample:
 // {"run": N, "t": ..., "series": {"name": value, ...}} (name-sorted).
