@@ -1,11 +1,9 @@
-// Simulation job configuration, its validation, and a checked builder.
+// Simulation job configuration and its validation.
 //
 // SimJobConfig is a plain aggregate so experiment code can fill fields
 // directly; validate() centralizes every range check the simulation
-// relies on (previously scattered across the MapReduceSimulation and
-// ReReplicator constructors). The Builder wraps the same checks behind
-// fluent setters that fail eagerly, at the call that supplied the bad
-// value, with a structured ConfigError naming the offending field.
+// relies on and throws a structured ConfigError naming the offending
+// field.
 #pragma once
 
 #include <cstdint>
@@ -251,67 +249,8 @@ struct SimJobConfig {
   std::vector<avail::InterruptionParams> truth_params;
 
   // Throws ConfigError on the first out-of-range field. The simulation
-  // constructor calls this, so hand-filled aggregates are still checked;
-  // the Builder calls the same predicates per setter.
+  // constructor calls this, so hand-filled aggregates are always checked.
   void validate() const;
-
-  class Builder;
-};
-
-// Checked construction: each setter validates its value immediately and
-// throws ConfigError naming the field, so a bad knob fails at the line
-// that set it instead of deep inside the simulation constructor.
-//
-//   auto config = SimJobConfig::Builder()
-//                     .gamma(8.0)
-//                     .speculation(true, /*slack=*/1.5)
-//                     .dead_timeout(120.0)
-//                     .build();
-class SimJobConfig::Builder {
- public:
-  Builder() = default;
-  // Start from an existing aggregate (its values are re-checked by
-  // build()).
-  explicit Builder(SimJobConfig base) : config_(std::move(base)) {}
-
-  Builder& gamma(double value);
-  // The scheduler.* speculation knobs.
-  Builder& speculation(bool enabled, double slack = 1.2,
-                       common::Seconds overdue = -1.0);
-  Builder& max_concurrent_attempts(int value);
-  Builder& scheduler_kind(SchedulerKind kind);
-  Builder& calibrated_margin(double value);
-  Builder& redundancy(int value);
-  Builder& origin_fetch(bool allowed, common::Seconds delay = -1.0);
-  Builder& transfer_stall_timeout(common::Seconds value);
-  Builder& seed(std::uint64_t value);
-  Builder& churn(bool enabled);
-  Builder& departure_rate(double value);
-  Builder& burst(common::Seconds at, double fraction);
-  Builder& domain_burst(common::Seconds at, std::uint32_t count);
-  Builder& heartbeat(common::Seconds interval, int miss_threshold);
-  Builder& dead_timeout(common::Seconds value);
-  Builder& heartbeat_loss(double prob);
-  Builder& partition(common::Seconds at, common::Seconds heal_at,
-                     std::vector<std::uint32_t> nodes);
-  Builder& domain_partition(common::Seconds at, common::Seconds heal_at,
-                            std::uint32_t domain);
-  Builder& straggler(std::uint32_t node, common::Seconds at,
-                     common::Seconds until, double slow_factor);
-  Builder& bitrot(double rate);
-  Builder& corruption(common::Seconds at, std::uint32_t block,
-                      std::int64_t node = -1);
-  Builder& block_scanner(common::Seconds interval,
-                         int blocks_per_sweep = 8);
-  Builder& safe_mode(double threshold, common::Seconds hold = 30.0);
-  Builder& rebalance(bool enabled, double hysteresis = 2.0,
-                     common::Seconds cooldown = 120.0);
-
-  // Final cross-field validation, then the finished config.
-  SimJobConfig build() const;
-
- private:
-  SimJobConfig config_;
 };
 
 }  // namespace adapt::sim
