@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,13 +26,6 @@ void write_trace(std::ostream& out, const Trace& trace) {
                   e.duration);
     out << buf;
   }
-}
-
-void write_trace_file(const std::string& path, const Trace& trace) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  write_trace(out, trace);
-  if (!out) throw std::runtime_error("write failed: " + path);
 }
 
 Trace read_trace(std::istream& in) {
@@ -75,12 +67,6 @@ Trace read_trace(std::istream& in) {
     trace.events.push_back(e);
   }
   return trace;
-}
-
-Trace read_trace_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open for reading: " + path);
-  return read_trace(in);
 }
 
 }  // namespace adapt::trace

@@ -16,10 +16,8 @@
 namespace adapt::trace {
 
 void write_trace(std::ostream& out, const Trace& trace);
-void write_trace_file(const std::string& path, const Trace& trace);
 
 // Throws std::runtime_error with a line number on malformed input.
 Trace read_trace(std::istream& in);
-Trace read_trace_file(const std::string& path);
 
 }  // namespace adapt::trace
