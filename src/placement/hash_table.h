@@ -12,6 +12,13 @@
 // weighting by each member's *overlap* with the cell instead is exact.
 // Both are implemented (ChainWeighting) because the difference is one of
 // the design points DESIGN.md calls out for ablation.
+//
+// Layout: one 32-bit word per cell. A singleton cell holds its node
+// inline, so a draw that lands on it is one random memory access. A
+// collision chain holds kChain | c, and chain c owns entries_
+// [chain_offsets_[c], chain_offsets_[c + 1]): the members in interval
+// order, each with its resolution weight normalized within the chain.
+// When m >> n at most about n cells are chains.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +41,14 @@ class BlockHashTable {
   // `weights` are the per-node rates; they are normalized internally, so
   // any non-negative scale works (1/E[T_i] for ADAPT, availability for
   // the naive policy, all-ones for uniform). `cells` is m, the number of
-  // blocks. At least one weight must be positive.
+  // blocks. At least one weight must be positive, and there must be
+  // fewer than 2^31 nodes.
   BlockHashTable(const std::vector<double>& weights, std::uint64_t cells,
                  ChainWeighting weighting);
 
   std::uint32_t sample(common::Rng& rng) const;
 
-  std::uint64_t cell_count() const { return cells_; }
+  std::uint64_t cell_count() const { return cells_.size(); }
   std::size_t node_count() const { return shares_.size(); }
   ChainWeighting weighting() const { return weighting_; }
 
@@ -61,12 +69,12 @@ class BlockHashTable {
     float weight = 0.0f;  // resolution weight, normalized within chain
   };
 
-  // Cells are stored flat: cell j owns entries_[offsets_[j] ..
-  // offsets_[j+1]).
-  std::vector<std::uint32_t> offsets_;
+  static constexpr std::uint32_t kChain = 1u << 31;
+
+  std::vector<std::uint32_t> cells_;
+  std::vector<std::uint32_t> chain_offsets_;
   std::vector<Entry> entries_;
   std::vector<double> shares_;
-  std::uint64_t cells_;
   ChainWeighting weighting_;
 };
 
