@@ -88,24 +88,13 @@ cluster::NodeMask NameNode::eligibility_for_new_replica(BlockId block) const {
   return eligibility(blocks_.at(block), nullptr, block);
 }
 
-std::optional<cluster::NodeIndex> NameNode::place_replica(
-    const BlockInfo& info, const placement::PlacementPolicy& policy,
-    placement::CappedPolicy* cap, common::Rng& rng,
-    const cluster::NodeMask* filter_mask, std::uint64_t key,
-    std::uint32_t ordinal) {
-  const cluster::NodeMask eligible =
-      eligibility(info, filter_mask, std::nullopt);
-  std::optional<cluster::NodeIndex> node =
-      cap ? cap->choose_keyed(key, ordinal, eligible, rng)
-          : policy.choose_keyed(key, ordinal, eligible, rng);
-  if (!node && cap) {
-    // Every under-cap node is ineligible; the paper's threshold is a
-    // fidelity knob, not a correctness constraint, so overflow past it
-    // rather than fail the load.
-    node = policy.choose_keyed(key, ordinal, eligible, rng);
-  }
-  if (node && cap) cap->record_placement(*node);
-  return node;
+std::uint64_t NameNode::cap_limit(std::uint64_t blocks,
+                                  int replication) const {
+  if (!options_.fidelity_cap) return 0;
+  return options_.cap_override
+             ? options_.cap_override
+             : placement::fidelity_threshold(blocks, replication,
+                                             node_count());
 }
 
 FileId NameNode::create_file(const std::string& name,
@@ -122,17 +111,6 @@ FileId NameNode::create_file(const std::string& name,
     throw std::invalid_argument("create_file: file exists: " + name);
   }
 
-  std::unique_ptr<placement::CappedPolicy> cap;
-  if (options_.fidelity_cap) {
-    const std::uint64_t limit =
-        options_.cap_override
-            ? options_.cap_override
-            : placement::fidelity_threshold(num_blocks, replication,
-                                            node_count());
-    cap = std::make_unique<placement::CappedPolicy>(policy, node_count(),
-                                                    limit);
-  }
-
   const auto id = static_cast<FileId>(files_.size());
   FileInfo file_info;
   file_info.name = name;
@@ -143,6 +121,60 @@ FileId NameNode::create_file(const std::string& name,
       materialize_filter(filter);
   const cluster::NodeMask* filter_ptr =
       filter_mask ? &*filter_mask : nullptr;
+
+  // The Section IV-C cap over this call: replicas placed per node
+  // against `limit` (0 = no cap).
+  const std::uint64_t limit = cap_limit(num_blocks, replication);
+  std::vector<std::uint64_t> placed(limit ? node_count() : 0, 0);
+
+  // The nodes any draw of this call may pick: placeable, passing the
+  // filter and under the cap. Single-bit flips keep the mask and its
+  // popcount current as nodes fill up or reach the cap, and each draw
+  // hides the block's holders in place and restores them afterwards,
+  // so a draw copies no mask.
+  cluster::NodeMask candidates = placeable_;
+  if (filter_ptr) candidates &= *filter_ptr;
+  std::size_t candidate_count = candidates.count();
+  std::vector<cluster::NodeIndex> hidden;
+  hidden.reserve(static_cast<std::size_t>(replication));
+
+  // One replica draw for `info`. Under the cap it draws from the
+  // candidates; when only the block's holders are left under the cap,
+  // or the capped draw finds nothing, it overflows past the cap into
+  // every eligible node: the paper's threshold is a fidelity knob, not a
+  // correctness constraint, so it must not fail the load.
+  const auto draw = [&](const BlockInfo& info, BlockId key,
+                        std::uint32_t ordinal) {
+    std::optional<cluster::NodeIndex> node;
+    if (anti_affine_) {
+      // Anti-affinity clears whole domains of the pre-cap mask, so it
+      // builds its own masks per draw.
+      const cluster::NodeMask eligible =
+          eligibility(info, filter_ptr, std::nullopt);
+      if (limit != 0) {
+        cluster::NodeMask capped = eligible;
+        capped &= candidates;
+        if (capped.any()) {
+          node = policy->choose_keyed(key, ordinal, capped, rng);
+        }
+        if (node) return node;
+      }
+      return policy->choose_keyed(key, ordinal, eligible, rng);
+    }
+    hidden.clear();
+    for (const cluster::NodeIndex holder : info.replicas) {
+      if (!candidates.test(holder)) continue;
+      candidates.reset(holder);
+      hidden.push_back(holder);
+    }
+    if (limit == 0 || candidate_count > hidden.size()) {
+      node = policy->choose_keyed(key, ordinal, candidates, rng);
+    }
+    for (const cluster::NodeIndex holder : hidden) candidates.set(holder);
+    if (node || limit == 0) return node;
+    return policy->choose_keyed(
+        key, ordinal, eligibility(info, filter_ptr, std::nullopt), rng);
+  };
 
   // Everything placed so far must be unwound if a later replica cannot
   // be placed: a failed create must leave no trace in the block map or
@@ -167,10 +199,10 @@ FileId NameNode::create_file(const std::string& name,
     BlockInfo info;
     info.file = id;
     info.index = b;
+    info.replicas.reserve(static_cast<std::size_t>(replication));
     for (int r = 0; r < replication; ++r) {
-      const auto node =
-          place_replica(info, *policy, cap.get(), rng, filter_ptr, block_id,
-                        static_cast<std::uint32_t>(r));
+      const std::optional<cluster::NodeIndex> node =
+          draw(info, block_id, static_cast<std::uint32_t>(r));
       if (!node) {
         rollback(info);
         throw std::runtime_error(
@@ -180,6 +212,12 @@ FileId NameNode::create_file(const std::string& name,
       info.replicas.push_back(*node);
       nodes_.add_replica(*node);
       sync_placeable(*node);
+      const bool capped_out = limit != 0 && ++placed[*node] >= limit;
+      if ((capped_out || !placeable_.test(*node)) &&
+          candidates.test(*node)) {
+        candidates.reset(*node);
+        --candidate_count;
+      }
     }
     blocks_.push_back(std::move(info));
     file_info.blocks.push_back(block_id);
@@ -196,21 +234,16 @@ std::vector<ReplicaMove> NameNode::rebalance_file(
   if (!policy) throw std::invalid_argument("rebalance_file: null policy");
   const FileInfo& info = file(file_id);
 
-  std::unique_ptr<placement::CappedPolicy> cap;
-  if (options_.fidelity_cap) {
-    const std::uint64_t limit =
-        options_.cap_override
-            ? options_.cap_override
-            : placement::fidelity_threshold(info.blocks.size(),
-                                            info.replication, node_count());
-    cap = std::make_unique<placement::CappedPolicy>(policy, node_count(),
-                                                    limit);
-  }
-
   const std::optional<cluster::NodeMask> filter_mask =
       materialize_filter(filter);
   const cluster::NodeMask* filter_ptr =
       filter_mask ? &*filter_mask : nullptr;
+
+  // The cap over this call, counted as in create_file but without the
+  // overflow: a replica with no target under the cap stays where it is.
+  const std::uint64_t limit = cap_limit(info.blocks.size(), info.replication);
+  std::vector<std::uint64_t> placed(limit ? node_count() : 0, 0);
+  cluster::NodeMask under_cap(node_count(), true);
 
   std::vector<ReplicaMove> moves;
   for (const BlockId block_id : info.blocks) {
@@ -226,11 +259,13 @@ std::vector<ReplicaMove> NameNode::rebalance_file(
       cluster::NodeMask eligible =
           eligibility(blocks_.at(block_id), filter_ptr, block_id);
       eligible.set(old_node);  // staying put is always allowed
-      auto target = cap ? cap->choose_keyed(block_id, ordinal, eligible, rng)
-                        : policy->choose_keyed(block_id, ordinal, eligible,
-                                               rng);
-      if (!target) target = old_node;  // over-cap everywhere: keep
-      if (cap) cap->record_placement(*target);
+      std::optional<cluster::NodeIndex> target;
+      if (limit != 0) eligible &= under_cap;
+      if (limit == 0 || eligible.any()) {
+        target = policy->choose_keyed(block_id, ordinal, eligible, rng);
+      }
+      if (!target) target = old_node;  // over the cap everywhere: keep
+      if (limit != 0 && ++placed[*target] >= limit) under_cap.reset(*target);
       if (*target != old_node) {
         begin_move(block_id, old_node, *target);
         moves.push_back({block_id, old_node, *target});

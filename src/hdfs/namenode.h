@@ -5,8 +5,8 @@
 // Placement flow per replica: the NameNode builds the eligibility mask
 // (distinct replicas per block, DataNode free space, optional
 // caller-supplied mask such as "node currently up"), applies the
-// fidelity cap when configured, and delegates the draw to the active
-// PlacementPolicy.
+// Section IV-C fidelity cap when configured, and delegates the draw to
+// the active PlacementPolicy.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include "common/rng.h"
 #include "hdfs/block.h"
 #include "hdfs/datanode.h"
-#include "placement/capped_policy.h"
 #include "placement/policy.h"
 
 namespace adapt::hdfs {
@@ -187,20 +186,16 @@ class NameNode {
   const cluster::NodeMask& placement_mask() const { return placeable_; }
 
  private:
-  // One replica draw honoring distinctness/space/filter/anti-affinity;
-  // updates the cap counter on success. `filter_mask` is the caller
-  // filter materialized once per create/rebalance call (null = no
-  // filter). (key, ordinal) identify the draw for consistent-hash
-  // policies (block id, replica index).
-  std::optional<cluster::NodeIndex> place_replica(
-      const BlockInfo& info, const placement::PlacementPolicy& policy,
-      placement::CappedPolicy* cap, common::Rng& rng,
-      const cluster::NodeMask* filter_mask, std::uint64_t key,
-      std::uint32_t ordinal);
+  // The fidelity cap for one create_file/rebalance_file call placing
+  // `blocks` blocks at `replication`: the most replicas the call may put
+  // on one node, or 0 when the cap is off.
+  std::uint64_t cap_limit(std::uint64_t blocks, int replication) const;
 
-  // Per-draw eligibility. `block_id`, when known, additionally
-  // excludes the block's pending-move targets (create_file passes
-  // nullopt: a brand-new block has none).
+  // Per-draw eligibility: placeable nodes passing `filter_mask` (the
+  // caller filter materialized once per call; null = no filter) minus
+  // the block's holders, restricted by anti-affinity. `block_id`, when
+  // known, additionally excludes the block's pending-move targets
+  // (create_file passes nullopt: a brand-new block has none).
   cluster::NodeMask eligibility(const BlockInfo& info,
                                 const cluster::NodeMask* filter_mask,
                                 std::optional<BlockId> block_id) const;
