@@ -1,5 +1,6 @@
 #include "placement/adapt_policy.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,12 +8,27 @@
 
 namespace adapt::placement {
 
+namespace {
+
+// When no node has a positive weight (every node unstable, so every
+// E[T] is infinite and every availability 0), no node is better than
+// another: weigh them equally, as the paper does for homogeneous nodes.
+std::vector<double> uniform_if_all_zero(std::vector<double> weights) {
+  if (std::all_of(weights.begin(), weights.end(),
+                  [](double w) { return w == 0.0; })) {
+    std::fill(weights.begin(), weights.end(), 1.0);
+  }
+  return weights;
+}
+
+}  // namespace
+
 WeightedHashPolicy::WeightedHashPolicy(std::string name,
                                        std::vector<double> weights,
                                        std::uint64_t blocks,
                                        ChainWeighting weighting)
     : name_(std::move(name)),
-      weights_(std::move(weights)),
+      weights_(uniform_if_all_zero(std::move(weights))),
       table_(weights_, blocks, weighting),
       realized_(table_.selection_probabilities()) {}
 

@@ -340,6 +340,24 @@ TEST(JobStream, DeterministicAcrossRepeats) {
   }
 }
 
+TEST(JobStream, HeavyHeartbeatLossSurvivesEveryNodeBelievedDead) {
+  // With 90% of heartbeats lost the collector soon believes every node
+  // dead, so the re-replication policy is rebuilt from estimates in
+  // which no node has a positive weight. It must fall back to uniform
+  // weights rather than abort the stream.
+  StreamWorld world;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    core::JobStreamConfig config = stream_config(false);
+    config.seed = seed;
+    config.job.churn.heartbeat_loss_prob = 0.9;
+    core::JobStreamResult result;
+    EXPECT_NO_THROW(result = core::run_job_stream(world.initial,
+                                                  world.shifted, config))
+        << "seed " << seed;
+    EXPECT_EQ(result.jobs.size(), 2u) << "seed " << seed;
+  }
+}
+
 TEST(JobStream, LoopOffRunsCleanWithZeroMigrationFootprint) {
   StreamWorld world;
   core::JobStreamConfig config = stream_config(false);
