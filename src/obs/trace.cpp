@@ -38,7 +38,7 @@ constexpr std::uint32_t TraceRecord::*kU32Slots[] = {
 enum Codec : std::uint8_t {
   kUint,        // unsigned decimal
   kReal,        // "%.17g" double
-  kQuote,       // "%.17g" double, written only when positive
+  kQuote,       // "%.17g" double, written only when positive; +inf is null
   kEndpoint,    // unsigned decimal; the origin is -1
   kReasonName,  // to_string(TraceReason), quoted
   kKindName,    // kKindNames[value], quoted
@@ -236,8 +236,13 @@ void parse_value(TraceRecord& r, const Field& f, const std::string& value) {
       set_uint(r, f.slot, as_u64(value));
       break;
     case kReal:
-    case kQuote:
       r.*real_slot(f.slot) = as_double(value);
+      break;
+    case kQuote:
+      // json_number writes a +inf quote (lambda * mu >= 1) as null.
+      r.*real_slot(f.slot) = value == "null"
+                                 ? std::numeric_limits<double>::infinity()
+                                 : as_double(value);
       break;
     case kEndpoint:
       set_uint(r, f.slot,

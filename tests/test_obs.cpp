@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -267,6 +268,7 @@ constexpr const char* kEveryEventTypeJsonl = R"jsonl({"run": 0, "t": 0.333333333
 {"run": 0, "t": 4.833333333333333, "ev": "replica_writeoff", "block": 1036, "node": 53, "false_positive": 0}
 {"run": 0, "t": 5.083333333333333, "ev": "replica_trim", "block": 1038, "node": 55}
 {"run": 0, "t": 40, "ev": "placement", "block": 7, "replica": 2, "node": 5, "quote": 1.7142857142857142}
+{"run": 0, "t": 40.5, "ev": "placement", "block": 8, "replica": 1, "node": 6, "quote": null}
 {"run": 1, "t": 0.45833333333333331, "ev": "job_start", "nodes": 18, "tasks": 1001}
 {"run": 1, "t": 0.70833333333333326, "ev": "node_up", "node": 20}
 {"run": 1, "t": 0.95833333333333326, "ev": "attempt_finish", "task": 1005, "node": 22, "kind": "origin"}
@@ -314,7 +316,8 @@ TEST(Trace, JsonlRoundTripsEveryEventType) {
     runs[i % 2].records.push_back(r);
   }
   // What one record per type cannot reach: a placement quote (written
-  // only when positive) and every attempt_finish kind / corrupt_read path.
+  // only when positive; +inf, for a node with lambda * mu >= 1, is
+  // written as null) and every attempt_finish kind / corrupt_read path.
   obs::TraceRecord quoted;
   quoted.t = 40.0;
   quoted.type = obs::EventType::kPlacement;
@@ -323,6 +326,13 @@ TEST(Trace, JsonlRoundTripsEveryEventType) {
   quoted.node = 5;
   quoted.v0 = 12.0 / 7.0;
   runs[0].records.push_back(quoted);
+  obs::TraceRecord unstable = quoted;
+  unstable.t = 40.5;
+  unstable.task = 8;
+  unstable.aux = 1;
+  unstable.node = 6;
+  unstable.v0 = std::numeric_limits<double>::infinity();
+  runs[0].records.push_back(unstable);
   for (std::uint32_t aux = 0; aux < 3; ++aux) {
     for (const obs::EventType type :
          {obs::EventType::kAttemptFinish, obs::EventType::kCorruptRead}) {
