@@ -22,7 +22,6 @@ cluster::Network::Config network_config(const cluster::Cluster& cluster) {
 InterruptionInjector::Config injector_config(const ReduceConfig& config) {
   InterruptionInjector::Config c;
   c.replay_horizon = config.replay_horizon;
-  c.randomize_replay_offset = config.randomize_replay_offset;
   c.replay_offsets = config.replay_offsets;
   c.initial_down_until = config.initial_down_until;
   return c;

@@ -46,7 +46,6 @@ struct ReduceConfig {
   std::vector<avail::InterruptionParams> params;  // for the weights
   common::Seconds reissue_delay = 600.0;
   std::uint64_t seed = 1;
-  bool randomize_replay_offset = true;
   common::Seconds replay_horizon = 0.0;
   std::vector<common::Seconds> replay_offsets;
   std::vector<common::Seconds> initial_down_until;

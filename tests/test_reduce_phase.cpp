@@ -88,7 +88,7 @@ TEST(ReducePhase, SourceOutageStallsThenOriginRescues) {
   config.output_ratio = 1.0;
   config.gamma_reduce = 5.0;
   config.reissue_delay = 40.0;
-  config.randomize_replay_offset = false;
+  config.replay_offsets.assign(cl.size(), 0.0);
   config.replay_horizon = 2e5;
   config.seed = 11;
   // Output on node 0 (down); reducer must land on node 1 and eventually
@@ -108,7 +108,7 @@ TEST(ReducePhase, ReducerHostDeathReassigns) {
   config.reducers = 2;
   config.output_ratio = 1.0;
   config.gamma_reduce = 100.0;  // long enough to be caught by the outage
-  config.randomize_replay_offset = false;
+  config.replay_offsets.assign(cl.size(), 0.0);
   config.replay_horizon = 2e5;
   config.seed = 13;
   ReducePhaseSimulation sim(cl, {0, 0}, config);
