@@ -68,7 +68,6 @@ void MigrationDriver::release_reservation(const hdfs::ReplicaMove& move) {
 }
 
 void MigrationDriver::submit(const hdfs::ReplicaMove& move) {
-  if (!config_.enabled) return;
   if (!namenode_.has_pending_move(move.block, move.from, move.to)) {
     throw std::logic_error("migration: submit without begin_move");
   }
@@ -81,7 +80,6 @@ void MigrationDriver::submit(const hdfs::ReplicaMove& move) {
 
 void MigrationDriver::on_node_up(cluster::NodeIndex node) {
   (void)node;  // any returning node may unblock a source
-  if (!config_.enabled) return;
   pump();
 }
 
@@ -94,7 +92,6 @@ void MigrationDriver::on_node_written_off(cluster::NodeIndex node) {
 }
 
 void MigrationDriver::fail_touching(cluster::NodeIndex node, bool as_source) {
-  if (!config_.enabled) return;
   // fail_flight erases by swap, so walk backwards.
   for (std::size_t i = in_flight_.size(); i-- > 0;) {
     const Flight& f = in_flight_[i];

@@ -35,7 +35,6 @@ namespace adapt::sim {
 class MigrationDriver {
  public:
   struct Config {
-    bool enabled = true;
     int max_concurrent = 2;  // transfer cap (rebalance vs everything else)
     // Token-bucket style rate share: a new transfer may only start once
     // block_bytes / budget_bytes_per_s seconds have elapsed since the
