@@ -65,15 +65,6 @@ MetricsRegistry::Id MetricsRegistry::histogram(const std::string& name,
   return static_cast<std::uint32_t>(histograms_.size() - 1);
 }
 
-MetricsRegistry::Id MetricsRegistry::sketch(const std::string& name,
-                                            std::size_t capacity) {
-  for (std::uint32_t i = 0; i < sketches_.size(); ++i) {
-    if (sketches_[i].name == name) return i;
-  }
-  sketches_.push_back(NamedSketch{name, QuantileSketch(capacity)});
-  return static_cast<std::uint32_t>(sketches_.size() - 1);
-}
-
 void MetricsRegistry::observe(Id id, double v) {
   Histogram& h = histograms_[id];
   const auto it = std::lower_bound(h.bounds.begin(), h.bounds.end(), v);
@@ -99,14 +90,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.histograms.begin(), snap.histograms.end(),
             [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-              return a.name < b.name;
-            });
-  snap.sketches.reserve(sketches_.size());
-  for (const NamedSketch& s : sketches_) {
-    snap.sketches.push_back({s.name, s.sketch});
-  }
-  std::sort(snap.sketches.begin(), snap.sketches.end(),
-            [](const SketchSnapshot& a, const SketchSnapshot& b) {
               return a.name < b.name;
             });
   return snap;
@@ -241,19 +224,6 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
     it->total += h.total;
     it->sum += h.sum;
   }
-  for (const SketchSnapshot& s : other.sketches) {
-    auto it = std::find_if(
-        sketches.begin(), sketches.end(),
-        [&](const SketchSnapshot& mine) { return mine.name == s.name; });
-    if (it == sketches.end()) {
-      const auto pos = std::find_if(
-          sketches.begin(), sketches.end(),
-          [&](const SketchSnapshot& mine) { return mine.name > s.name; });
-      sketches.insert(pos, s);
-      continue;
-    }
-    it->sketch.merge(s.sketch);  // throws on capacity mismatch
-  }
 }
 
 void MetricsSnapshot::append_json(std::string& out,
@@ -281,19 +251,6 @@ void MetricsSnapshot::append_json(std::string& out,
     out += ", \"sum\": " + json_number(h.sum) + "}";
   }
   out += histograms.empty() ? "]\n" : "\n" + indent + "  ]\n";
-  if (!sketches.empty()) {
-    // Trailing-key form so pre-sketch outputs stay byte-identical.
-    out.back() = ',';
-    out += "\n" + indent + "  \"sketches\": [";
-    for (std::size_t i = 0; i < sketches.size(); ++i) {
-      out += i > 0 ? ",\n" : "\n";
-      out += indent + "    {\"name\": \"" + json_escape(sketches[i].name) +
-             "\", \"summary\": ";
-      sketches[i].sketch.append_json(out);
-      out += "}";
-    }
-    out += "\n" + indent + "  ]\n";
-  }
   out += indent + "}";
 }
 

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "obs/quantile_sketch.h"
 
 namespace adapt::obs {
 
@@ -32,11 +31,6 @@ struct HistogramSnapshot {
   std::vector<std::uint64_t> counts;
   std::uint64_t total = 0;
   double sum = 0.0;
-};
-
-struct SketchSnapshot {
-  std::string name;
-  QuantileSketch sketch;
 };
 
 // Metric trajectories: one row per sample() call, one column per scalar
@@ -55,25 +49,19 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, double>> counters;  // sorted by name
   std::vector<std::pair<std::string, double>> gauges;    // sorted by name
   std::vector<HistogramSnapshot> histograms;             // sorted by name
-  std::vector<SketchSnapshot> sketches;                  // sorted by name
 
   bool empty() const {
-    return counters.empty() && gauges.empty() && histograms.empty() &&
-           sketches.empty();
+    return counters.empty() && gauges.empty() && histograms.empty();
   }
 
   // Merge another run into this one: counters and histogram buckets add
   // up; gauges keep the maximum (they record run-level quantities like
-  // elapsed time, where the max across runs is the useful aggregate);
-  // sketches merge (same capacity required — mirrors the histogram
-  // layout rule). Histograms with the same name must share a bucket
-  // layout.
+  // elapsed time, where the max across runs is the useful aggregate).
+  // Histograms with the same name must share a bucket layout.
   void merge(const MetricsSnapshot& other);
 
   // Deterministic JSON object ({"counters": {...}, "gauges": {...},
-  // "histograms": [...]}), appended to `out`. A "sketches" key follows
-  // "histograms" only when sketches exist, so pre-sketch outputs stay
-  // byte-identical.
+  // "histograms": [...]}), appended to `out`.
   void append_json(std::string& out, const std::string& indent) const;
 };
 
@@ -87,13 +75,10 @@ class MetricsRegistry {
   Id counter(const std::string& name);
   Id gauge(const std::string& name);
   Id histogram(const std::string& name, std::vector<double> bounds);
-  Id sketch(const std::string& name,
-            std::size_t capacity = QuantileSketch::kDefaultCapacity);
 
   void add(Id id, double v = 1.0) { counters_[id].value += v; }
   void set(Id id, double v) { gauges_[id].value = v; }
   void observe(Id id, double v);
-  void sketch_observe(Id id, double v) { sketches_[id].sketch.observe(v); }
 
   MetricsSnapshot snapshot() const;
 
@@ -128,11 +113,6 @@ class MetricsRegistry {
     std::uint64_t total = 0;
     double sum = 0.0;
   };
-
-  struct NamedSketch {
-    std::string name;
-    QuantileSketch sketch;
-  };
   struct RawSample {
     common::Seconds t = 0.0;
     std::vector<double> counter_values;
@@ -142,7 +122,6 @@ class MetricsRegistry {
   std::vector<Scalar> counters_;
   std::vector<Scalar> gauges_;
   std::vector<Histogram> histograms_;
-  std::vector<NamedSketch> sketches_;
   std::vector<RawSample> samples_;
 };
 

@@ -36,48 +36,6 @@ void QuantileSketch::observe(double v) {
   }
 }
 
-void QuantileSketch::merge(const QuantileSketch& other) {
-  if (other.capacity_ != capacity_) {
-    throw std::invalid_argument(
-        "quantile sketch: merging sketches with different capacities");
-  }
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-
-  // Classic sorted merge, coalescing equal values; then recompress once
-  // if the union outgrew the capacity.
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < entries_.size() || j < other.entries_.size()) {
-    if (j == other.entries_.size() ||
-        (i < entries_.size() &&
-         entries_[i].value < other.entries_[j].value)) {
-      merged.push_back(entries_[i++]);
-    } else if (i == entries_.size() ||
-               other.entries_[j].value < entries_[i].value) {
-      merged.push_back(other.entries_[j++]);
-    } else {
-      merged.push_back(
-          Entry{entries_[i].value,
-                entries_[i].weight + other.entries_[j].weight});
-      ++i;
-      ++j;
-    }
-  }
-  entries_ = std::move(merged);
-  if (entries_.size() > capacity_) compact();
-}
-
 void QuantileSketch::compact() {
   const std::size_t m = capacity_ / 2;
   std::uint64_t total = 0;

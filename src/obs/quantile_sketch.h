@@ -1,4 +1,4 @@
-// Streaming quantile sketch: a fixed-size, mergeable summary of a value
+// Streaming quantile sketch: a fixed-size summary of a value
 // distribution with deterministic compaction.
 //
 // Design: the sketch keeps at most `capacity` (value, weight) entries
@@ -11,10 +11,10 @@
 // stays unbiased across repeated compactions. Interpolated values need
 // not be observed values. Compaction is a pure function
 // of the sorted retained summary: no RNG, no arrival-position
-// tie-breaking, no host state. Two replays of the same stream — and any
-// cross-run merge performed in run-index order — therefore produce
-// byte-identical serialized sketches for any `--threads` value, the same
-// contract the metrics registry and event tracer already honor.
+// tie-breaking, no host state. Two replays of the same stream therefore
+// produce byte-identical serialized sketches for any `--threads` value,
+// the same contract the metrics registry and event tracer already
+// honor.
 //
 // Below the compaction threshold the sketch is exact (it still holds
 // every observation), which the tests lean on; past it, quantiles are
@@ -38,11 +38,6 @@ class QuantileSketch {
 
   void observe(double v);
 
-  // Merge another sketch of the same capacity (throws
-  // std::invalid_argument otherwise — mirrors the histogram bucket
-  // layout rule, so cross-run aggregation is always apples-to-apples).
-  void merge(const QuantileSketch& other);
-
   // Weighted percentile with midpoint interpolation; q clamped to
   // [0, 1]. q = 0 returns the exact minimum, q = 1 the exact maximum.
   // Returns 0.0 on an empty sketch.
@@ -63,7 +58,7 @@ class QuantileSketch {
     std::uint64_t weight = 0;
   };
   // Retained entries, sorted by value; weights sum to count(). Exposed
-  // for merging and for tests.
+  // for tests.
   const std::vector<Entry>& entries() const { return entries_; }
 
   // Fixed-key-order JSON object appended to `out`:

@@ -157,39 +157,6 @@ TEST(Metrics, LogBoundsSpacing) {
                std::invalid_argument);
 }
 
-TEST(Metrics, SketchesSnapshotMergeAndJson) {
-  obs::MetricsRegistry a;
-  const auto sa = a.sketch("z.times", 64);
-  a.sketch_observe(sa, 1.0);
-  a.sketch_observe(sa, 3.0);
-  obs::MetricsRegistry b;
-  const auto sb = b.sketch("z.times", 64);
-  b.sketch_observe(sb, 2.0);
-  b.sketch_observe(b.sketch("a.other", 64), 9.0);
-
-  obs::MetricsSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
-  ASSERT_EQ(merged.sketches.size(), 2u);  // name-sorted
-  EXPECT_EQ(merged.sketches[0].name, "a.other");
-  EXPECT_EQ(merged.sketches[1].name, "z.times");
-  EXPECT_EQ(merged.sketches[1].sketch.count(), 3u);
-  EXPECT_DOUBLE_EQ(merged.sketches[1].sketch.quantile(0.5), 2.0);
-
-  std::string with;
-  merged.append_json(with, "");
-  EXPECT_NE(with.find("\"sketches\": ["), std::string::npos);
-  EXPECT_NE(with.find("{\"name\": \"a.other\", \"summary\": {\"count\": 1"),
-            std::string::npos);
-
-  // No sketches -> no "sketches" key, so pre-existing exports stay
-  // byte-identical.
-  obs::MetricsRegistry plain;
-  plain.add(plain.counter("c"));
-  std::string without;
-  plain.snapshot().append_json(without, "");
-  EXPECT_EQ(without.find("\"sketches\""), std::string::npos);
-}
-
 TEST(Metrics, TimeSeriesAlignsLateRegisteredSeries) {
   obs::MetricsRegistry reg;
   const auto c = reg.counter("b.count");

@@ -1,6 +1,6 @@
 // QuantileSketch: exactness below the compaction threshold, bounded
-// error past it, merge semantics, and the deterministic-serialization
-// contract the cross-thread export byte-compare relies on.
+// error past it, and the deterministic-serialization contract the
+// cross-thread export byte-compare relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,68 +124,6 @@ TEST(QuantileSketch, QuantileAccuracyAfterCompaction) {
   }
   EXPECT_DOUBLE_EQ(s.quantile(0.0), all.front());
   EXPECT_DOUBLE_EQ(s.quantile(1.0), all.back());
-}
-
-TEST(QuantileSketch, MergeMatchesUnionBelowCapacity) {
-  QuantileSketch a(128);
-  QuantileSketch b(128);
-  QuantileSketch both(128);
-  common::Rng rng(3);
-  for (int i = 0; i < 30; ++i) {
-    const double va = rng.uniform();
-    const double vb = rng.uniform() + 0.5;
-    a.observe(va);
-    b.observe(vb);
-    both.observe(va);
-    both.observe(vb);
-  }
-  a.merge(b);
-  std::string merged;
-  std::string direct;
-  a.append_json(merged);
-  both.append_json(direct);
-  EXPECT_EQ(merged, direct);
-}
-
-TEST(QuantileSketch, MergeCapacityMismatchThrows) {
-  QuantileSketch a(64);
-  QuantileSketch b(128);
-  a.observe(1.0);
-  b.observe(2.0);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(QuantileSketch, MergeEmptySides) {
-  QuantileSketch a;
-  QuantileSketch b;
-  b.observe(5.0);
-  a.merge(b);  // empty += nonempty
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.quantile(0.5), 5.0);
-  QuantileSketch c;
-  a.merge(c);  // nonempty += empty
-  EXPECT_EQ(a.count(), 1u);
-}
-
-TEST(QuantileSketch, MergeAccuracyAfterCompaction) {
-  QuantileSketch merged(256);
-  std::vector<double> all;
-  common::Rng rng(13);
-  for (int shard = 0; shard < 8; ++shard) {
-    QuantileSketch s(256);
-    for (int i = 0; i < 5'000; ++i) {
-      const double v = rng.uniform() * 100.0;
-      all.push_back(v);
-      s.observe(v);
-    }
-    merged.merge(s);
-  }
-  EXPECT_EQ(merged.count(), all.size());
-  std::sort(all.begin(), all.end());
-  for (const double q : {0.5, 0.9, 0.99}) {
-    EXPECT_NEAR(merged.quantile(q), common::percentile_sorted(all, q), 3.0)
-        << "q=" << q;  // 3% of the value range, despite 8-way merging
-  }
 }
 
 TEST(QuantileSketch, JsonShape) {
