@@ -1,6 +1,7 @@
 #include "obs/lineage.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -441,7 +442,11 @@ std::string describe_block(const BlockLineage& b) {
       case LineageStepKind::kPlaced:
         out += " on node " + std::to_string(s.node) + " (replica " +
                std::to_string(s.detail) + ")";
-        if (s.v0 > 0.0) out += " quote " + fmt_t(s.v0) + "s";
+        if (s.v0 > 0.0) {
+          // A node with lambda * mu >= 1 quotes E[T] = +inf.
+          out += std::isfinite(s.v0) ? " quote " + fmt_t(s.v0) + "s"
+                                     : std::string(" quote unbounded");
+        }
         break;
       case LineageStepKind::kRereplicated:
       case LineageStepKind::kMigrated:

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -211,6 +212,33 @@ TEST(Lineage, BoundedStateCountsTruncation) {
   EXPECT_EQ(b->steps.size(), obs::LineageIndex::kMaxStepsPerBlock);
   EXPECT_GT(b->truncated_steps, 0u);
   EXPECT_NE(obs::describe_block(*b).find("truncated"), std::string::npos);
+}
+
+TEST(Lineage, InfiniteQuoteRendersUnbounded) {
+  // A node with lambda * mu >= 1 quotes E[T] = +inf. The trace writes
+  // that quote as null and the parser reads it back as +inf, which the
+  // chain must print as unbounded rather than as a number.
+  obs::TraceRecord finite = rec(1.0, obs::EventType::kPlacement, 0, 1);
+  finite.v0 = 12.5;
+  obs::TraceRecord unbounded =
+      rec(1.0, obs::EventType::kPlacement, 0, 2, /*replica=*/1);
+  unbounded.v0 = std::numeric_limits<double>::infinity();
+  obs::RunObservations run;
+  run.records = {finite, unbounded};
+  const std::vector<obs::RunObservations> parsed =
+      obs::parse_jsonl(obs::to_jsonl({run}));
+  ASSERT_EQ(parsed.size(), 1u);
+  const obs::LineageSnapshot snap = obs::build_lineage(parsed[0].records);
+  const obs::BlockLineage* b = obs::find_block(snap, 0);
+  ASSERT_NE(b, nullptr);
+  const std::string text = obs::describe_block(*b);
+  EXPECT_NE(text.find("on node 1 (replica 0) quote 12.500s"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("on node 2 (replica 1) quote unbounded"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("inf"), std::string::npos) << text;
 }
 
 // --- integration: real churn runs through run_experiment -------------
