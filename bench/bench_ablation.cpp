@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(refetched) / runs, 1)});
       report.add_result("6. reduce placement",
                         aware ? "availability-aware" : "random", "adapt r1",
-                        runner::merge_results(results));
+                        core::merge_results(results));
     }
     std::printf("\n--- 6. Reduce phase (future-work extension) ---\n%s",
                 table.to_string().c_str());

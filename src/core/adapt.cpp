@@ -360,16 +360,16 @@ ExperimentResult run_experiment(const cluster::Cluster& cluster,
   return result;
 }
 
-RepeatedResult run_repeated(const cluster::Cluster& cluster,
-                            ExperimentConfig config, int runs) {
-  if (runs < 1) throw std::invalid_argument("run_repeated: runs must be >= 1");
+RepeatedResult merge_results(const std::vector<ExperimentResult>& results) {
+  if (results.empty()) {
+    throw std::invalid_argument("merge_results: no runs");
+  }
   std::vector<double> elapsed;
   std::vector<double> locality;
+  elapsed.reserve(results.size());
+  locality.reserve(results.size());
   RepeatedResult out;
-  for (int r = 0; r < runs; ++r) {
-    config.seed = config.seed * 6364136223846793005ull + 1442695040888963407ull;
-    config.job.seed = config.seed;
-    const ExperimentResult result = run_experiment(cluster, config);
+  for (const ExperimentResult& result : results) {
     elapsed.push_back(result.job.elapsed);
     locality.push_back(result.job.locality);
     out.rework_ratio += result.job.overhead.rework_ratio();
@@ -396,7 +396,7 @@ RepeatedResult run_repeated(const cluster::Cluster& cluster,
     out.redundant_launches += result.job.redundant_launches;
     out.redundant_waste_bytes += result.job.redundant_waste_bytes;
   }
-  const double n = runs;
+  const double n = static_cast<double>(results.size());
   out.rework_ratio /= n;
   out.recovery_ratio /= n;
   out.migration_ratio /= n;
@@ -405,6 +405,19 @@ RepeatedResult run_repeated(const cluster::Cluster& cluster,
   out.elapsed = common::summarize(std::move(elapsed));
   out.locality = common::summarize(std::move(locality));
   return out;
+}
+
+RepeatedResult run_repeated(const cluster::Cluster& cluster,
+                            ExperimentConfig config, int runs) {
+  if (runs < 1) throw std::invalid_argument("run_repeated: runs must be >= 1");
+  std::vector<ExperimentResult> results;
+  results.reserve(static_cast<std::size_t>(runs));
+  for (int r = 0; r < runs; ++r) {
+    config.seed = config.seed * 6364136223846793005ull + 1442695040888963407ull;
+    config.job.seed = config.seed;
+    results.push_back(run_experiment(cluster, config));
+  }
+  return merge_results(results);
 }
 
 }  // namespace adapt::core

@@ -159,6 +159,12 @@ struct RepeatedResult {
   std::uint64_t redundant_waste_bytes = 0;
 };
 
+// Aggregate per-run results (in run order) into the paper's per-point
+// result. Throws std::invalid_argument on an empty list.
+RepeatedResult merge_results(const std::vector<ExperimentResult>& results);
+
+// `runs` sequential runs whose seeds follow an LCG chain from
+// config.seed, merged.
 RepeatedResult run_repeated(const cluster::Cluster& cluster,
                             ExperimentConfig config, int runs);
 

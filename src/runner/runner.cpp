@@ -16,54 +16,6 @@ std::uint64_t derive_run_seed(std::uint64_t base_seed,
   return common::splitmix64(s);
 }
 
-core::RepeatedResult merge_results(
-    const std::vector<core::ExperimentResult>& results) {
-  if (results.empty()) {
-    throw std::invalid_argument("merge_results: no runs");
-  }
-  std::vector<double> elapsed;
-  std::vector<double> locality;
-  elapsed.reserve(results.size());
-  locality.reserve(results.size());
-  core::RepeatedResult out;
-  for (const core::ExperimentResult& result : results) {
-    elapsed.push_back(result.job.elapsed);
-    locality.push_back(result.job.locality);
-    out.rework_ratio += result.job.overhead.rework_ratio();
-    out.recovery_ratio += result.job.overhead.recovery_ratio();
-    out.migration_ratio += result.job.overhead.migration_ratio();
-    out.misc_ratio += result.job.overhead.misc_ratio();
-    out.total_ratio += result.job.overhead.total_ratio();
-    out.policy_name = result.policy_name;
-    out.failed_runs += result.job.failed ? 1 : 0;
-    out.nodes_departed += result.job.nodes_departed;
-    out.nodes_dead += result.job.nodes_dead;
-    out.blocks_lost += result.job.blocks_lost;
-    out.tasks_lost += result.job.tasks_lost;
-    out.rereplications += result.job.rereplications;
-    out.rereplication_giveups += result.job.rereplication_giveups;
-    out.rereplication_bytes += result.job.rereplication_bytes;
-    out.heartbeats_lost += result.job.heartbeats_lost;
-    out.false_dead_declarations += result.job.false_dead_declarations;
-    out.replicas_corrupted += result.job.replicas_corrupted;
-    out.corrupt_reads += result.job.corrupt_reads;
-    out.safe_mode_entries += result.job.safe_mode_entries;
-    out.speculative_launches += result.job.speculative_launches;
-    out.speculative_wins += result.job.speculative_wins;
-    out.redundant_launches += result.job.redundant_launches;
-    out.redundant_waste_bytes += result.job.redundant_waste_bytes;
-  }
-  const double n = static_cast<double>(results.size());
-  out.rework_ratio /= n;
-  out.recovery_ratio /= n;
-  out.migration_ratio /= n;
-  out.misc_ratio /= n;
-  out.total_ratio /= n;
-  out.elapsed = common::summarize(std::move(elapsed));
-  out.locality = common::summarize(std::move(locality));
-  return out;
-}
-
 ExperimentRunner::ExperimentRunner(std::size_t threads) : pool_(threads) {}
 
 std::vector<core::ExperimentResult> ExperimentRunner::run_all(
@@ -118,7 +70,7 @@ core::RepeatedResult ExperimentRunner::run_replications(
   }
   std::vector<core::ExperimentResult> results = run_all(jobs);
   drain_observations(results, obs);
-  return merge_results(results);
+  return core::merge_results(results);
 }
 
 std::vector<core::RepeatedResult> ExperimentRunner::run_sweep(
@@ -153,7 +105,7 @@ std::vector<core::RepeatedResult> ExperimentRunner::run_sweep(
   merged.reserve(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const auto begin = results.begin() + static_cast<std::ptrdiff_t>(cell_begin[c]);
-    merged.push_back(merge_results(std::vector<core::ExperimentResult>(
+    merged.push_back(core::merge_results(std::vector<core::ExperimentResult>(
         begin, begin + cells[c].runs)));
   }
   return merged;

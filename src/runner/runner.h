@@ -25,12 +25,6 @@ namespace adapt::runner {
 std::uint64_t derive_run_seed(std::uint64_t base_seed,
                               std::uint64_t run_index);
 
-// Merge per-run results (in run order) into the paper's per-point
-// aggregate; shared by run_replications / run_sweep and usable on
-// results produced elsewhere.
-core::RepeatedResult merge_results(
-    const std::vector<core::ExperimentResult>& results);
-
 class ExperimentRunner {
  public:
   // threads = 0: one worker per hardware thread.

@@ -128,7 +128,7 @@ TEST(ExperimentRunner, ReplicationsMatchManualSeedDerivation) {
     per_run.job.seed = per_run.seed;
     manual.push_back(core::run_experiment(cl, per_run));
   }
-  const core::RepeatedResult expected = runner::merge_results(manual);
+  const core::RepeatedResult expected = core::merge_results(manual);
 
   runner::ExperimentRunner exec(2);
   expect_bit_equal(expected, exec.run_replications(cl, config, runs));
