@@ -20,11 +20,6 @@ void PerformancePredictor::set_params(std::size_t node,
   params_.at(node) = p;
 }
 
-const InterruptionParams& PerformancePredictor::params(
-    std::size_t node) const {
-  return params_.at(node);
-}
-
 void PerformancePredictor::record_task_length(double gamma_observed) {
   if (gamma_observed <= 0) {
     throw std::invalid_argument("predictor: observed gamma must be > 0");

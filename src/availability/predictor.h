@@ -27,7 +27,6 @@ class PerformancePredictor {
   // Replace the availability parameters of one node (heartbeat-collector
   // update path, or experiment ground truth).
   void set_params(std::size_t node, const InterruptionParams& p);
-  const InterruptionParams& params(std::size_t node) const;
 
   // Feed one completed local task's failure-free execution time (the
   // "logging services of Hadoop" input). The gamma used for prediction

@@ -39,8 +39,6 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void RunningStats::reset() { *this = RunningStats(); }
-
 double RunningStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
 
 double RunningStats::variance() const {

@@ -15,7 +15,6 @@ class RunningStats {
  public:
   void add(double x);
   void merge(const RunningStats& other);
-  void reset();
 
   std::size_t count() const { return count_; }
   double mean() const;

@@ -39,10 +39,6 @@ std::uint64_t DataNodeDirectory::stored(cluster::NodeIndex node) const {
   return stored_.at(node);
 }
 
-std::uint64_t DataNodeDirectory::capacity(cluster::NodeIndex node) const {
-  return capacity_.at(node);
-}
-
 double DataNodeDirectory::skew() const {
   if (total_ == 0) return 0.0;
   const std::uint64_t max_stored =

@@ -24,7 +24,6 @@ class DataNodeDirectory {
   void remove_replica(cluster::NodeIndex node);
 
   std::uint64_t stored(cluster::NodeIndex node) const;
-  std::uint64_t capacity(cluster::NodeIndex node) const;
   std::uint64_t total_stored() const { return total_; }
 
   // max stored / mean stored — the disk-skew statistic the fidelity

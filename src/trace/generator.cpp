@@ -25,17 +25,6 @@ void calibrate_mtbi_population(double mean, double cov, double& log_mean,
   log_mean = std::log(mean) + s2 / 2.0;
 }
 
-double calibrate_rho_cov(double mtbi_cov, double duration_cov) {
-  const double ratio =
-      (1.0 + duration_cov * duration_cov) / (1.0 + mtbi_cov * mtbi_cov);
-  if (ratio <= 1.0) {
-    throw std::invalid_argument(
-        "calibrate_rho_cov: duration CoV must exceed MTBI CoV to "
-        "decompose D = rho * M");
-  }
-  return std::sqrt(ratio - 1.0);
-}
-
 double calibrate_duration_population_cov(double pooled_cov,
                                          double within_cov) {
   const double ratio =

@@ -107,10 +107,4 @@ void calibrate_mtbi_population(double mean, double cov, double& log_mean,
 double calibrate_duration_population_cov(double pooled_cov,
                                          double within_cov);
 
-// CoV of the utilization ratio rho_i = D_i / M_i such that, with
-// independent rho and M, D = rho * M hits (duration_mean, duration_cov)
-// given (mtbi_mean, mtbi_cov). Throws when the duration spread is too
-// small to decompose this way.
-double calibrate_rho_cov(double mtbi_cov, double duration_cov);
-
 }  // namespace adapt::trace

@@ -33,12 +33,6 @@ TEST(GeneratorCalibration, DurationDecomposition) {
                std::invalid_argument);
 }
 
-TEST(GeneratorCalibration, RhoDecomposition) {
-  const double c = calibrate_rho_cov(4.376, 7.3869);
-  EXPECT_NEAR((1 + c * c) * (1 + 4.376 * 4.376), 1 + 7.3869 * 7.3869, 1e-9);
-  EXPECT_THROW(calibrate_rho_cov(7.0, 2.0), std::invalid_argument);
-}
-
 GeneratorConfig small_config() {
   GeneratorConfig config;
   config.node_count = 2000;
