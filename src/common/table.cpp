@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 
 namespace adapt::common {
@@ -56,8 +55,6 @@ std::string Table::to_string() const {
   for (const auto& row : rows_) emit_row(row);
   return out.str();
 }
-
-void Table::print(std::ostream& out) const { out << to_string(); }
 
 std::string format_double(double v, int precision) {
   char buf[64];

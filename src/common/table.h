@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@ class Table {
                int precision = 2);
 
   std::string to_string() const;
-  void print(std::ostream& out) const;
 
   std::size_t rows() const { return rows_.size(); }
 
