@@ -16,7 +16,6 @@
 #include "cluster/fault_domains.h"
 #include "hdfs/namenode.h"
 #include "placement/adapt_policy.h"
-#include "placement/alias_sampler.h"
 #include "placement/hash_table.h"
 #include "placement/jump_hash_policy.h"
 #include "placement/random_policy.h"
@@ -332,14 +331,6 @@ TEST(PlacementGolden, CreateFile) {
                      placement::make_jump_hash_policy(order), 11);
        },
        0xd5ea64b8bdf2eda9ull},
-      {"alias_r2_cap",
-       [] {
-         std::vector<double> et(16, 12.0);
-         et[2] = 1.0;
-         return load(hdfs::NameNode(16, capped()), 2, 300,
-                     placement::make_adapt_alias_policy(et), 12);
-       },
-       0xa87a8ce1c9c4248bull},
       {"anti_affine_r2",
        [] {
          hdfs::NameNode nn(16);

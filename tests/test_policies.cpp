@@ -6,7 +6,6 @@
 
 #include "availability/interruption_model.h"
 #include "placement/adapt_policy.h"
-#include "placement/alias_sampler.h"
 #include "placement/naive_policy.h"
 #include "placement/random_policy.h"
 
@@ -135,24 +134,6 @@ TEST(AdaptPolicy, MaskedFallbackMatchesRealizedDistribution) {
     ones += choice == 1;
   }
   EXPECT_NEAR(static_cast<double>(ones) / kDraws, p_realized, 0.01);
-}
-
-TEST(AliasPolicy, MaskedFallbackMatchesShares) {
-  // Same agreement property on the alias policy: masked draws (almost
-  // all through the fallback) follow the sampler's realized shares
-  // conditioned on the mask.
-  AliasPolicy policy("test", {1000.0, 1000.0, 1000.0, 0.7, 0.3});
-  const auto eligible =
-      cluster::NodeMask::from_vector({false, false, false, true, true});
-  Rng rng(43);
-  constexpr int kDraws = 60000;
-  std::size_t threes = 0;
-  for (int i = 0; i < kDraws; ++i) {
-    const auto choice = policy.choose(eligible, rng).value();
-    ASSERT_TRUE(choice == 3 || choice == 4);
-    threes += choice == 3;
-  }
-  EXPECT_NEAR(static_cast<double>(threes) / kDraws, 0.7, 0.01);
 }
 
 TEST(AdaptPolicy, AllEligibleZeroWeightFallsBackUniform) {
