@@ -98,18 +98,22 @@ void print_run(std::uint64_t run_index, const obs::RunObservations& run,
               "%.17g node-seconds\n",
               summary.recovery_node_seconds);
 
+  using obs::EventType;
+  const auto n = [&](EventType type) { return summary.count(type); };
+  const auto str = [&](EventType type) { return std::to_string(n(type)); };
+
   // Churn & recovery: only shown when the trace has any churn activity.
-  if (summary.nodes_dead > 0 || summary.replicas_lost > 0 ||
-      summary.rereplications > 0 || summary.rereplication_retries > 0 ||
-      summary.rereplication_giveups > 0) {
+  if (n(EventType::kNodeDead) > 0 || n(EventType::kReplicaLost) > 0 ||
+      n(EventType::kRereplicationDone) > 0 ||
+      n(EventType::kRereplicationRetry) > 0 ||
+      n(EventType::kRereplicationGiveup) > 0) {
     common::Table recovery({"dead nodes", "replicas lost", "re-repl",
                             "retries", "give-ups", "moved"});
     recovery.add_row(
-        {std::to_string(summary.nodes_dead),
-         std::to_string(summary.replicas_lost),
-         std::to_string(summary.rereplications),
-         std::to_string(summary.rereplication_retries),
-         std::to_string(summary.rereplication_giveups),
+        {str(EventType::kNodeDead), str(EventType::kReplicaLost),
+         str(EventType::kRereplicationDone),
+         str(EventType::kRereplicationRetry),
+         str(EventType::kRereplicationGiveup),
          common::format_bytes(
              static_cast<std::uint64_t>(summary.rereplication_bytes))});
     std::printf("\nchurn & recovery%s:\n%s", trunc.c_str(),
@@ -120,44 +124,50 @@ void print_run(std::uint64_t run_index, const obs::RunObservations& run,
   // activity — false-positive dead declarations (nodes revived by a
   // later beat), checksum catches and their recovery path, safe-mode
   // entries/exits, and re-replication give-ups (repairs abandoned).
-  if (summary.false_dead_declarations > 0 || summary.corrupt_reads > 0 ||
-      summary.replicas_corrupted > 0 || summary.safe_mode_entries > 0 ||
-      summary.partitions_started > 0 || summary.stragglers_started > 0) {
+  if (n(EventType::kNodeRevived) > 0 || n(EventType::kCorruptRead) > 0 ||
+      n(EventType::kReplicaCorrupt) > 0 ||
+      n(EventType::kSafeModeEnter) > 0 ||
+      n(EventType::kPartitionStart) > 0 ||
+      n(EventType::kStragglerStart) > 0) {
     common::Table audit({"false dead", "revived repl", "corrupt",
                          "caught reads", "by scan", "safe in/out",
                          "deferred w/o", "give-ups"});
     audit.add_row(
-        {std::to_string(summary.false_dead_declarations),
+        {str(EventType::kNodeRevived),
          std::to_string(summary.revived_replicas_restored) + "+" +
              std::to_string(summary.revived_replicas_trimmed) + "t",
-         std::to_string(summary.replicas_corrupted),
-         std::to_string(summary.corrupt_reads),
+         str(EventType::kReplicaCorrupt), str(EventType::kCorruptRead),
          std::to_string(summary.corrupt_reads_scan),
-         std::to_string(summary.safe_mode_entries) + "/" +
-             std::to_string(summary.safe_mode_exits),
+         str(EventType::kSafeModeEnter) + "/" +
+             str(EventType::kSafeModeExit),
          std::to_string(summary.safe_mode_writeoffs),
-         std::to_string(summary.rereplication_giveups)});
+         str(EventType::kRereplicationGiveup)});
     std::printf("\nfailure audit%s:\n%s", trunc.c_str(),
                 audit.to_string().c_str());
-    if (summary.partitions_started > 0 || summary.stragglers_started > 0) {
+    if (n(EventType::kPartitionStart) > 0 ||
+        n(EventType::kStragglerStart) > 0) {
       std::printf("injected: %llu partition(s) (%llu healed), "
                   "%llu straggler(s)\n",
-                  static_cast<unsigned long long>(summary.partitions_started),
-                  static_cast<unsigned long long>(summary.partitions_healed),
-                  static_cast<unsigned long long>(summary.stragglers_started));
+                  static_cast<unsigned long long>(
+                      n(EventType::kPartitionStart)),
+                  static_cast<unsigned long long>(
+                      n(EventType::kPartitionHeal)),
+                  static_cast<unsigned long long>(
+                      n(EventType::kStragglerStart)));
     }
   }
 
   // Online rebalancing: only shown when the drift→rebalance loop ran.
-  if (summary.rebalance_triggers > 0 || summary.migrations_committed > 0 ||
-      summary.migration_retries > 0 || summary.migration_giveups > 0) {
+  if (n(EventType::kRebalanceTrigger) > 0 ||
+      n(EventType::kMigrationCommit) > 0 ||
+      n(EventType::kMigrationRetry) > 0 ||
+      n(EventType::kMigrationGiveup) > 0) {
     common::Table migration({"triggers", "committed", "retries",
                              "give-ups", "moved"});
     migration.add_row(
-        {std::to_string(summary.rebalance_triggers),
-         std::to_string(summary.migrations_committed),
-         std::to_string(summary.migration_retries),
-         std::to_string(summary.migration_giveups),
+        {str(EventType::kRebalanceTrigger),
+         str(EventType::kMigrationCommit), str(EventType::kMigrationRetry),
+         str(EventType::kMigrationGiveup),
          common::format_bytes(
              static_cast<std::uint64_t>(summary.migration_bytes))});
     std::printf("\nonline rebalancing%s:\n%s", trunc.c_str(),

@@ -142,68 +142,20 @@ ReplaySummary replay(const std::vector<TraceRecord>& records) {
         }
         break;
       }
-      case EventType::kNodeDead:
-        ++out.nodes_dead;
-        break;
-      case EventType::kReplicaLost:
-        ++out.replicas_lost;
-        break;
       case EventType::kRereplicationDone:
-        ++out.rereplications;
         out.rereplication_bytes += r.v0;
         break;
-      case EventType::kRereplicationRetry:
-        ++out.rereplication_retries;
-        break;
-      case EventType::kRereplicationGiveup:
-        ++out.rereplication_giveups;
-        break;
-      case EventType::kPredictorDrift:
-        ++out.drift_alarms;
-        if (r.v1 >= 0.0) {
-          out.drift_latency_sum += r.v1;
-          ++out.drift_latency_count;
-        }
-        break;
-      case EventType::kRebalanceTrigger:
-        ++out.rebalance_triggers;
-        break;
       case EventType::kMigrationCommit:
-        ++out.migrations_committed;
         out.migration_bytes += r.v0;
         break;
-      case EventType::kMigrationRetry:
-        ++out.migration_retries;
-        break;
-      case EventType::kMigrationGiveup:
-        ++out.migration_giveups;
-        break;
-      case EventType::kPartitionStart:
-        ++out.partitions_started;
-        break;
-      case EventType::kPartitionHeal:
-        ++out.partitions_healed;
-        break;
-      case EventType::kStragglerStart:
-        ++out.stragglers_started;
-        break;
-      case EventType::kReplicaCorrupt:
-        ++out.replicas_corrupted;
-        break;
       case EventType::kCorruptRead:
-        ++out.corrupt_reads;
         if (r.aux == 2) ++out.corrupt_reads_scan;
         break;
-      case EventType::kSafeModeEnter:
-        ++out.safe_mode_entries;
-        break;
       case EventType::kSafeModeExit:
-        ++out.safe_mode_exits;
         if (r.aux != 0) ++out.safe_mode_healed;
         out.safe_mode_writeoffs += r.task;
         break;
       case EventType::kNodeRevived:
-        ++out.false_dead_declarations;
         out.revived_replicas_restored += r.task;
         out.revived_replicas_trimmed += r.aux;
         break;

@@ -40,39 +40,14 @@ struct ReplaySummary {
   // JobResult::overhead.recovery.
   double recovery_node_seconds = 0.0;
 
-  // Churn & recovery accounting (zero on churn-free traces).
-  std::uint64_t nodes_dead = 0;             // dead declarations
-  std::uint64_t replicas_lost = 0;          // blocks that hit 0 live replicas
-  std::uint64_t rereplications = 0;         // completed re-replications
-  std::uint64_t rereplication_retries = 0;
-  std::uint64_t rereplication_giveups = 0;
+  // Payload sums and filtered counts; plain per-type counts are
+  // count(EventType). All zero when the trace has no such events.
   double rereplication_bytes = 0.0;         // bytes moved by recovery
-
-  // Predictor drift accounting (zero without calibration).
-  std::uint64_t drift_alarms = 0;
-  std::uint64_t drift_latency_count = 0;    // alarms with known latency
-  common::Seconds drift_latency_sum = 0.0;
-
-  // Online rebalancing accounting (zero with the loop off).
-  std::uint64_t rebalance_triggers = 0;
-  std::uint64_t migrations_committed = 0;
-  std::uint64_t migration_retries = 0;
-  std::uint64_t migration_giveups = 0;
   double migration_bytes = 0.0;             // bytes moved by rebalancing
-
-  // Gray-failure accounting (zero on crash-stop-only traces).
-  std::uint64_t partitions_started = 0;
-  std::uint64_t partitions_healed = 0;
-  std::uint64_t stragglers_started = 0;
-  std::uint64_t replicas_corrupted = 0;     // bitrot injections
-  std::uint64_t corrupt_reads = 0;          // checksum catches (all paths)
-  std::uint64_t corrupt_reads_scan = 0;     // ... caught by the scanner
-  std::uint64_t safe_mode_entries = 0;
-  std::uint64_t safe_mode_exits = 0;
+  std::uint64_t corrupt_reads_scan = 0;     // checksum catches by the scanner
   std::uint64_t safe_mode_healed = 0;       // exits with no write-off
   std::uint64_t safe_mode_writeoffs = 0;    // deferred write-offs applied
-  std::uint64_t false_dead_declarations = 0;  // node_revived events
-  std::uint64_t revived_replicas_restored = 0;
+  std::uint64_t revived_replicas_restored = 0;  // on node_revived
   std::uint64_t revived_replicas_trimmed = 0;
 
   // Scheduling accounting (zero with the baseline scheduler when no

@@ -142,9 +142,9 @@ TEST(Chaos, FalsePositiveDeadDeclarationRevivesCleanly) {
   }
 
   const obs::ReplaySummary replay = obs::replay(tracer.take_records());
-  EXPECT_EQ(replay.partitions_started, 1u);
-  EXPECT_EQ(replay.partitions_healed, 1u);
-  EXPECT_EQ(replay.false_dead_declarations, 1u);
+  EXPECT_EQ(replay.count(obs::EventType::kPartitionStart), 1u);
+  EXPECT_EQ(replay.count(obs::EventType::kPartitionHeal), 1u);
+  EXPECT_EQ(replay.count(obs::EventType::kNodeRevived), 1u);
   EXPECT_GE(replay.revived_replicas_restored + replay.revived_replicas_trimmed,
             1u);
 }
@@ -187,8 +187,8 @@ TEST(Chaos, CorruptReadRecoversFromSurvivingReplica) {
   }
 
   const obs::ReplaySummary replay = obs::replay(tracer.take_records());
-  EXPECT_EQ(replay.replicas_corrupted, 2u);
-  EXPECT_EQ(replay.corrupt_reads, 1u);
+  EXPECT_EQ(replay.count(obs::EventType::kReplicaCorrupt), 2u);
+  EXPECT_EQ(replay.count(obs::EventType::kCorruptRead), 1u);
   EXPECT_EQ(replay.corrupt_reads_scan, 0u);
 }
 
@@ -240,8 +240,8 @@ TEST(Chaos, SafeModeDefersMassWriteoffDuringPartition) {
   for (cluster::NodeIndex n = 0; n < 6; ++n) EXPECT_FALSE(nn.is_dead(n));
 
   const obs::ReplaySummary replay = obs::replay(tracer.take_records());
-  EXPECT_EQ(replay.safe_mode_entries, 1u);
-  EXPECT_EQ(replay.safe_mode_exits, 1u);
+  EXPECT_EQ(replay.count(obs::EventType::kSafeModeEnter), 1u);
+  EXPECT_EQ(replay.count(obs::EventType::kSafeModeExit), 1u);
   EXPECT_EQ(replay.safe_mode_healed, 1u);
   EXPECT_EQ(replay.safe_mode_writeoffs, 0u);
 }

@@ -384,14 +384,14 @@ TEST(Trace, GrayFailureEventsRoundTripThroughReplay) {
   EXPECT_EQ(obs::to_jsonl(parsed), jsonl);
 
   const obs::ReplaySummary summary = obs::replay(parsed[0].records);
-  EXPECT_EQ(summary.partitions_started, 1u);
-  EXPECT_EQ(summary.partitions_healed, 1u);
-  EXPECT_EQ(summary.stragglers_started, 1u);
-  EXPECT_EQ(summary.replicas_corrupted, 1u);
-  EXPECT_EQ(summary.corrupt_reads, 1u);
+  EXPECT_EQ(summary.count(obs::EventType::kPartitionStart), 1u);
+  EXPECT_EQ(summary.count(obs::EventType::kPartitionHeal), 1u);
+  EXPECT_EQ(summary.count(obs::EventType::kStragglerStart), 1u);
+  EXPECT_EQ(summary.count(obs::EventType::kReplicaCorrupt), 1u);
+  EXPECT_EQ(summary.count(obs::EventType::kCorruptRead), 1u);
   EXPECT_EQ(summary.corrupt_reads_scan, 1u);
-  EXPECT_EQ(summary.safe_mode_entries, 1u);
-  EXPECT_EQ(summary.safe_mode_exits, 1u);
+  EXPECT_EQ(summary.count(obs::EventType::kSafeModeEnter), 1u);
+  EXPECT_EQ(summary.count(obs::EventType::kSafeModeExit), 1u);
   EXPECT_EQ(summary.count(obs::EventType::kReplicaWriteoff), 1u);
   EXPECT_EQ(summary.count(obs::EventType::kReplicaRestore), 1u);
   EXPECT_EQ(summary.count(obs::EventType::kReplicaTrim), 1u);
