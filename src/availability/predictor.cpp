@@ -51,4 +51,15 @@ std::vector<double> PerformancePredictor::expected_task_times() const {
   return out;
 }
 
+std::vector<double> expected_task_times(
+    const std::vector<InterruptionParams>& params, double gamma,
+    TaskTimeCache* cache) {
+  PerformancePredictor predictor(params.size(), gamma);
+  predictor.set_shared_cache(cache);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    predictor.set_params(i, params[i]);
+  }
+  return predictor.expected_task_times();
+}
+
 }  // namespace adapt::avail

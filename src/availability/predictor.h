@@ -66,4 +66,11 @@ class PerformancePredictor {
   TaskTimeCache* shared_cache_ = nullptr;
 };
 
+// Every node's E[T] under `params` for a task of length `gamma`, in node
+// order: what a predictor holding `params` quotes. A non-null `cache` is
+// shared as with set_shared_cache.
+std::vector<double> expected_task_times(
+    const std::vector<InterruptionParams>& params, double gamma,
+    TaskTimeCache* cache = nullptr);
+
 }  // namespace adapt::avail

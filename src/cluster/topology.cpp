@@ -37,6 +37,19 @@ std::vector<avail::InterruptionParams> Cluster::params() const {
   return out;
 }
 
+Network::Config Cluster::network_config() const {
+  Network::Config config;
+  config.uplink_bps.reserve(nodes.size());
+  config.downlink_bps.reserve(nodes.size());
+  for (const NodeSpec& node : nodes) {
+    config.uplink_bps.push_back(node.uplink_bps);
+    config.downlink_bps.push_back(node.downlink_bps);
+  }
+  config.origin_uplink_bps = origin_uplink_bps;
+  config.fifo_admission = fifo_uplinks;
+  return config;
+}
+
 const std::vector<AvailabilityGroup>& table2_groups() {
   static const std::vector<AvailabilityGroup> groups = {
       {10.0, 4.0},

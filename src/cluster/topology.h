@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cluster/network.h"
 #include "cluster/node.h"
 #include "trace/event.h"
 
@@ -55,6 +56,9 @@ struct Cluster {
   // converged heartbeat collector would report, and the input the
   // experiment hands the Performance Predictor as "ground truth".
   std::vector<avail::InterruptionParams> params() const;
+  // The network the cluster describes: each node's uplink and downlink,
+  // the origin uplink and the uplink admission model.
+  Network::Config network_config() const;
 };
 
 // Table 2: the four (MTBI, mean service time) groups, in seconds.

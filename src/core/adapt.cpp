@@ -37,12 +37,8 @@ placement::PolicyPtr make_policy(
       return placement::make_random_policy(params.size());
     case PolicyKind::kAdapt: {
       if (spans != nullptr) spans->begin("predict", now);
-      avail::PerformancePredictor predictor(params.size(), gamma);
-      predictor.set_shared_cache(task_times);
-      for (std::size_t i = 0; i < params.size(); ++i) {
-        predictor.set_params(i, params[i]);
-      }
-      std::vector<double> expected = predictor.expected_task_times();
+      std::vector<double> expected =
+          avail::expected_task_times(params, gamma, task_times);
       if (spans != nullptr) {
         spans->end(now);
         spans->begin("hash_table_build", now);
@@ -138,16 +134,19 @@ ExperimentResult run_experiment(const cluster::Cluster& cluster,
       placement::make_random_policy(cluster.size());
   if (spans) spans->end(0.0);
 
-  if (calibration) {
-    // Pin the E[T_i] quotes the placement policy saw — the predictor's
-    // view over the same `params` (ground truth or heartbeat estimates)
-    // at placement time.
-    avail::PerformancePredictor predictor(params.size(), config.job.gamma);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      predictor.set_params(i, params[i]);
-    }
-    calibration->set_predictions(predictor.expected_task_times());
+  // The E[T_i] quotes the placement policy saw: the predictor's view of
+  // the same `params` (ground truth or heartbeat estimates) at placement
+  // time. Calibration, the placement records and the calibrated
+  // scheduler each pin them.
+  const bool quote_scheduler =
+      config.job.scheduler.kind == sim::SchedulerKind::kCalibrated &&
+      config.job.scheduler.node_quotes.empty();
+  std::vector<double> quotes;
+  if (calibration || config.obs.trace || config.obs.lineage ||
+      quote_scheduler) {
+    quotes = avail::expected_task_times(params, config.job.gamma);
   }
+  if (calibration) calibration->set_predictions(quotes);
 
   hdfs::NameNode::Options options;
   options.fidelity_cap = config.fidelity_cap;
@@ -156,14 +155,7 @@ ExperimentResult run_experiment(const cluster::Cluster& cluster,
     namenode.set_fault_domains(domains, config.domain_anti_affinity);
   }
 
-  cluster::Network::Config net_config;
-  for (const cluster::NodeSpec& node : cluster.nodes) {
-    net_config.uplink_bps.push_back(node.uplink_bps);
-    net_config.downlink_bps.push_back(node.downlink_bps);
-  }
-  net_config.origin_uplink_bps = cluster.origin_uplink_bps;
-  net_config.fifo_admission = cluster.fifo_uplinks;
-  cluster::Network load_network(net_config);
+  cluster::Network load_network(cluster.network_config());
 
   hdfs::Client client(namenode, random, policy, &load_network,
                       cluster.block_size_bytes);
@@ -188,11 +180,7 @@ ExperimentResult run_experiment(const cluster::Cluster& cluster,
     // Pin the Eq. 5 quote each placement decision was priced with onto
     // its placement record, so a replica's chain starts with the
     // policy's own expectation.
-    avail::PerformancePredictor predictor(params.size(), config.job.gamma);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      predictor.set_params(i, params[i]);
-    }
-    client.set_quotes(predictor.expected_task_times());
+    client.set_quotes(quotes);
   }
   if (config.obs.metrics || config.obs.sample_dt > 0.0) {
     metrics = std::make_unique<obs::MetricsRegistry>();
@@ -301,17 +289,9 @@ ExperimentResult run_experiment(const cluster::Cluster& cluster,
   result.placement_skew =
       mean_blocks > 0 ? static_cast<double>(max_blocks) / mean_blocks : 0.0;
 
-  if (job_config.scheduler.kind == sim::SchedulerKind::kCalibrated &&
-      job_config.scheduler.node_quotes.empty()) {
-    // Placement-time quotes for the calibrated scheduler: the same
-    // Eq. 5 E[T_i] view of `params` the placement policy priced nodes
-    // with, so "overdue" means "slower than what placement paid for".
-    avail::PerformancePredictor predictor(params.size(), config.job.gamma);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      predictor.set_params(i, params[i]);
-    }
-    job_config.scheduler.node_quotes = predictor.expected_task_times();
-  }
+  // The calibrated scheduler's quotes are the ones placement priced
+  // nodes with, so "overdue" means "slower than what placement paid for".
+  if (quote_scheduler) job_config.scheduler.node_quotes = quotes;
 
   if (config.run_reduce) job_config.record_completion_times = true;
   job_config.tracer = tracer.get();

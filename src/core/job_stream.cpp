@@ -66,13 +66,16 @@ JobStreamResult run_job_stream(const cluster::Cluster& initial,
       placement::make_random_policy(initial.size());
   if (spans) spans->end(0.0);
 
-  if (calibration) {
-    avail::PerformancePredictor predictor(params.size(), config.job.gamma);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      predictor.set_params(i, params[i]);
-    }
-    calibration->set_predictions(predictor.expected_task_times());
+  // The initial regime's Eq. 5 quotes, pinned by calibration and by the
+  // calibrated scheduler.
+  const bool quote_scheduler =
+      config.job.scheduler.kind == sim::SchedulerKind::kCalibrated &&
+      config.job.scheduler.node_quotes.empty();
+  std::vector<double> quotes;
+  if (calibration || quote_scheduler) {
+    quotes = avail::expected_task_times(params, config.job.gamma);
   }
+  if (calibration) calibration->set_predictions(quotes);
 
   hdfs::NameNode::Options options;
   options.fidelity_cap = config.fidelity_cap;
@@ -81,14 +84,7 @@ JobStreamResult run_job_stream(const cluster::Cluster& initial,
     namenode.set_fault_domains(domains, config.domain_anti_affinity);
   }
 
-  cluster::Network::Config net_config;
-  for (const cluster::NodeSpec& node : initial.nodes) {
-    net_config.uplink_bps.push_back(node.uplink_bps);
-    net_config.downlink_bps.push_back(node.downlink_bps);
-  }
-  net_config.origin_uplink_bps = initial.origin_uplink_bps;
-  net_config.fifo_admission = initial.fifo_uplinks;
-  cluster::Network load_network(net_config);
+  cluster::Network load_network(initial.network_config());
 
   hdfs::Client client(namenode, random, policy, &load_network,
                       initial.block_size_bytes);
@@ -109,16 +105,7 @@ JobStreamResult run_job_stream(const cluster::Cluster& initial,
   // rebuilt from live heartbeat estimates through one shared Eq. 5 memo
   // table for the whole stream.
   sim::SimJobConfig job_template = config.job;
-  if (job_template.scheduler.kind == sim::SchedulerKind::kCalibrated &&
-      job_template.scheduler.node_quotes.empty()) {
-    // Placement-time quotes for the calibrated scheduler: pinned to the
-    // initial regime's Eq. 5 view, like the drift baseline above.
-    avail::PerformancePredictor predictor(params.size(), config.job.gamma);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      predictor.set_params(i, params[i]);
-    }
-    job_template.scheduler.node_quotes = predictor.expected_task_times();
-  }
+  if (quote_scheduler) job_template.scheduler.node_quotes = quotes;
   job_template.tracer = tracer.get();
   job_template.metrics = metrics.get();
   job_template.spans = spans.get();

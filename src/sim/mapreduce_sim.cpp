@@ -29,19 +29,6 @@ InterruptionInjector::Config injector_config(const SimJobConfig& config) {
   return c;
 }
 
-cluster::Network::Config network_config(const cluster::Cluster& cluster) {
-  cluster::Network::Config config;
-  config.uplink_bps.reserve(cluster.size());
-  config.downlink_bps.reserve(cluster.size());
-  for (const cluster::NodeSpec& node : cluster.nodes) {
-    config.uplink_bps.push_back(node.uplink_bps);
-    config.downlink_bps.push_back(node.downlink_bps);
-  }
-  config.origin_uplink_bps = cluster.origin_uplink_bps;
-  config.fifo_admission = cluster.fifo_uplinks;
-  return config;
-}
-
 }  // namespace
 
 std::vector<std::vector<cluster::NodeIndex>> replica_map(
@@ -63,7 +50,7 @@ MapReduceSimulation::MapReduceSimulation(const cluster::Cluster& cluster,
       namenode_(namenode),
       file_(file),
       config_(config),
-      network_(network_config(cluster)),
+      network_(cluster.network_config()),
       rng_(common::Rng(config.seed).fork(0x5157)),
       board_(replica_map(namenode, file), cluster.size()),
       injector_(queue_, cluster.nodes, *this,
@@ -820,13 +807,8 @@ void MapReduceSimulation::maybe_rebalance(std::uint32_t alarm_count) {
   // Eq. 5 quotes under the refreshed beliefs decide which replicas are
   // now badly placed: a holder quoting worse than hysteresis * the
   // median of live nodes has degraded enough to vacate.
-  const std::vector<avail::InterruptionParams> est =
-      collector_->estimates(now);
-  avail::PerformancePredictor predictor(node_state_.size(), config_.gamma);
-  for (std::size_t i = 0; i < est.size() && i < node_state_.size(); ++i) {
-    predictor.set_params(i, est[i]);
-  }
-  const std::vector<double> quote = predictor.expected_task_times();
+  const std::vector<double> quote =
+      avail::expected_task_times(collector_->estimates(now), config_.gamma);
   std::vector<double> live_quotes;
   live_quotes.reserve(quote.size());
   for (std::size_t i = 0; i < quote.size(); ++i) {

@@ -8,17 +8,6 @@ namespace adapt::sim {
 
 namespace {
 
-cluster::Network::Config network_config(const cluster::Cluster& cluster) {
-  cluster::Network::Config config;
-  for (const cluster::NodeSpec& node : cluster.nodes) {
-    config.uplink_bps.push_back(node.uplink_bps);
-    config.downlink_bps.push_back(node.downlink_bps);
-  }
-  config.origin_uplink_bps = cluster.origin_uplink_bps;
-  config.fifo_admission = cluster.fifo_uplinks;
-  return config;
-}
-
 InterruptionInjector::Config injector_config(const ReduceConfig& config) {
   InterruptionInjector::Config c;
   c.replay_horizon = config.replay_horizon;
@@ -34,7 +23,7 @@ ReducePhaseSimulation::ReducePhaseSimulation(
     const std::vector<cluster::NodeIndex>& map_winners, ReduceConfig config)
     : cluster_(cluster),
       config_(std::move(config)),
-      network_(network_config(cluster)),
+      network_(cluster.network_config()),
       rng_(common::Rng(config_.seed).fork(0x2ed0)),
       injector_(queue_, cluster.nodes, *this,
                 common::Rng(config_.seed).fork(0x2ed1),
