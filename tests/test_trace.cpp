@@ -92,6 +92,8 @@ TEST(Generator, CouplingControlsUnstableFraction) {
   const auto coupled = generate_seti_like_trace(config);
   config.duration_mtbi_coupling = 0.0;  // D independent of M
   const auto uncoupled = generate_seti_like_trace(config);
+  config.duration_mtbi_coupling = 0.5;  // the default
+  const auto half = generate_seti_like_trace(config);
 
   auto unstable_fraction = [](const GeneratedTrace& g) {
     std::size_t count = 0;
@@ -101,8 +103,12 @@ TEST(Generator, CouplingControlsUnstableFraction) {
     return static_cast<double>(count) / static_cast<double>(g.truth.size());
   };
   // More coupling -> fewer unstable hosts.
-  EXPECT_LT(unstable_fraction(coupled), unstable_fraction(uncoupled));
+  EXPECT_LT(unstable_fraction(coupled), unstable_fraction(half));
+  EXPECT_LT(unstable_fraction(half), unstable_fraction(uncoupled));
   EXPECT_GT(unstable_fraction(coupled), 0.05);
+  // The default leaves about a third of hosts unstable (0.335 here).
+  EXPECT_GE(unstable_fraction(half), 0.30);
+  EXPECT_LE(unstable_fraction(half), 0.37);
 }
 
 TEST(TraceStats, HandComputedExample) {
