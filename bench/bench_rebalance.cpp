@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   const std::size_t nodes = common_opts.nodes;
   const int runs = common_opts.runs;
   const std::uint64_t seed = common_opts.seed;
-  const int jobs = static_cast<int>(flags.get_int("jobs", 4));
+  const int jobs = static_cast<int>(flags.get_int("jobs", 12));
   const double gap = flags.get_double("gap", 0.0);
   const int shift_job = static_cast<int>(flags.get_int("shift-job", 1));
   const double shift_lambda = flags.get_double("shift-lambda", 6.0);
