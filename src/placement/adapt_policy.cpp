@@ -4,11 +4,43 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "placement/masked_draw.h"
-
 namespace adapt::placement {
 
 namespace {
+
+// Exact weighted draw over `realized` restricted to the eligible set.
+// When every eligible node has zero realized probability, falls back to
+// a uniform draw over the eligible set (a load must still complete when
+// only capped-out or unstable nodes remain); nullopt when no node is
+// eligible at all.
+std::optional<cluster::NodeIndex> masked_exact_draw(
+    const std::vector<double>& realized, const cluster::NodeMask& eligible,
+    common::Rng& rng) {
+  double total = 0.0;
+  eligible.for_each_set([&](std::uint32_t i) { total += realized[i]; });
+  if (total > 0.0) {
+    double r = rng.uniform() * total;
+    std::optional<cluster::NodeIndex> hit;
+    eligible.for_each_set([&](std::uint32_t i) {
+      if (hit) return;
+      r -= realized[i];
+      if (r <= 0.0) hit = static_cast<cluster::NodeIndex>(i);
+    });
+    if (hit) return hit;
+    // Rounding left r marginally positive: return the last eligible node
+    // with positive realized probability.
+    cluster::NodeMask positive = eligible;
+    positive.for_each_set([&](std::uint32_t i) {
+      if (realized[i] <= 0.0) positive.reset(i);
+    });
+    const std::size_t last = positive.last_set();
+    if (last < positive.size()) return static_cast<cluster::NodeIndex>(last);
+  }
+  const std::size_t candidates = eligible.count();
+  if (candidates == 0) return std::nullopt;
+  return static_cast<cluster::NodeIndex>(
+      eligible.nth_set(rng.uniform_index(candidates)));
+}
 
 // When no node has a positive weight (every node unstable, so every
 // E[T] is infinite and every availability 0), no node is better than
@@ -37,12 +69,18 @@ std::optional<cluster::NodeIndex> WeightedHashPolicy::choose(
   if (eligible.size() != weights_.size()) {
     throw std::invalid_argument("choose: eligibility mask size mismatch");
   }
-  // Rejection-sample the hash table; the bounded fallback draws from the
-  // table's realized selection probabilities (not the raw weights, which
-  // the paper's chain normalization distorts).
-  return masked_choose(
-      [this](common::Rng& r) { return table_.sample(r); }, realized_,
-      eligible, rng);
+  // Rejection-sample the hash table against the NameNode's eligibility
+  // mask. Under heavy masking the loop is cut off and an exact draw
+  // finishes the job. That draw must come from the distribution the
+  // rejection loop realizes: the table's realized selection
+  // probabilities conditioned on the mask, not the raw weights, which
+  // the paper's chain normalization (ChainWeighting::kPaper) distorts.
+  constexpr int kMaxRejections = 32;
+  for (int attempt = 0; attempt < kMaxRejections; ++attempt) {
+    const std::uint32_t node = table_.sample(rng);
+    if (eligible.test(node)) return node;
+  }
+  return masked_exact_draw(realized_, eligible, rng);
 }
 
 PolicyPtr make_adapt_policy(const std::vector<double>& expected_task_times,
