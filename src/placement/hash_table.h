@@ -48,7 +48,6 @@ class BlockHashTable {
 
   std::uint32_t sample(common::Rng& rng) const;
 
-  std::uint64_t cell_count() const { return cells_.size(); }
   std::size_t node_count() const { return shares_.size(); }
   ChainWeighting weighting() const { return weighting_; }
 
