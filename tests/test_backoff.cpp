@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "cluster/network.h"
+#include "cluster/node_mask.h"
 #include "hdfs/namenode.h"
 #include "placement/random_policy.h"
 #include "sim/backoff.h"
@@ -95,7 +96,7 @@ TEST(Backoff, DriversRejectBadMaxBackoff) {
   sim::EventQueue queue;
   hdfs::NameNode nn(2);
   cluster::Network net = make_net(2);
-  const auto up = [](cluster::NodeIndex) { return true; };
+  const cluster::NodeMask up(2, /*value=*/true);
 
   sim::ReReplicator::Config rconfig;
   rconfig.backoff.max = 0.0;

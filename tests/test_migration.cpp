@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cluster/network.h"
+#include "cluster/node_mask.h"
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "core/job_stream.h"
@@ -32,14 +33,13 @@ struct DriverHarness {
   sim::EventQueue queue;
   hdfs::NameNode nn;
   cluster::Network net;
-  std::vector<bool> up;
+  cluster::NodeMask up;
   std::optional<sim::MigrationDriver> driver;
 
   explicit DriverHarness(std::size_t nodes,
                          sim::MigrationDriver::Config config = {})
-      : nn(nodes), net(make_net(nodes)), up(nodes, true) {
-    driver.emplace(queue, nn, net, kBlockBytes, config, Rng(99),
-                   [this](cluster::NodeIndex n) { return up[n]; });
+      : nn(nodes), net(make_net(nodes)), up(nodes, /*value=*/true) {
+    driver.emplace(queue, nn, net, kBlockBytes, config, Rng(99), up);
     driver->set_policy(placement::make_random_policy(nodes));
   }
 
@@ -77,14 +77,14 @@ struct DriverHarness {
 
   void down_at(common::Seconds t, cluster::NodeIndex node) {
     queue.schedule(t, [this, node] {
-      up[node] = false;
+      up.reset(node);
       driver->on_node_down(node);
     });
   }
 
   void up_at(common::Seconds t, cluster::NodeIndex node) {
     queue.schedule(t, [this, node] {
-      up[node] = true;
+      up.set(node);
       driver->on_node_up(node);
     });
   }
@@ -110,7 +110,7 @@ TEST(MigrationDriver, CommitsOnlyAfterTransferCompletes) {
   EXPECT_EQ(h.nn.block(blocks[0]).replicas,
             std::vector<cluster::NodeIndex>{2});
   EXPECT_TRUE(h.nn.pending_moves().empty());
-  EXPECT_EQ(h.driver->stats().committed, 1u);
+  EXPECT_EQ(h.driver->stats().landed, 1u);
   EXPECT_EQ(h.driver->stats().bytes_moved, kBlockBytes);
   EXPECT_TRUE(h.driver->idle());
 }
@@ -126,7 +126,7 @@ TEST(MigrationDriver, SourceDeathMidTransferRetriesFromAnotherHolder) {
   // vacated holder's replica is gone.
   const std::vector<cluster::NodeIndex> expect = {1, 3};
   EXPECT_EQ(h.nn.block(blocks[0]).replicas, expect);
-  EXPECT_EQ(h.driver->stats().committed, 1u);
+  EXPECT_EQ(h.driver->stats().landed, 1u);
   EXPECT_GE(h.driver->stats().retries, 1u);
   EXPECT_EQ(h.driver->stats().giveups, 0u);
 }
@@ -142,8 +142,8 @@ TEST(MigrationDriver, DestinationDeathMidTransferRedrawsTarget) {
   const cluster::NodeIndex landed = h.nn.block(blocks[0]).replicas[0];
   EXPECT_TRUE(landed == 1u || landed == 3u);
   EXPECT_EQ(h.nn.datanodes().stored(2), 0u);  // old reservation released
-  EXPECT_GE(h.driver->stats().redraws, 1u);
-  EXPECT_EQ(h.driver->stats().committed, 1u);
+  EXPECT_GE(h.driver->move_stats().redraws, 1u);
+  EXPECT_EQ(h.driver->stats().landed, 1u);
 }
 
 TEST(MigrationDriver, DestinationWrittenOffWhileUpRedrawsTarget) {
@@ -161,8 +161,8 @@ TEST(MigrationDriver, DestinationWrittenOffWhileUpRedrawsTarget) {
   ASSERT_EQ(h.nn.block(blocks[0]).replicas.size(), 1u);
   const cluster::NodeIndex landed = h.nn.block(blocks[0]).replicas[0];
   EXPECT_TRUE(landed == 1u || landed == 3u);
-  EXPECT_GE(h.driver->stats().redraws, 1u);
-  EXPECT_EQ(h.driver->stats().committed, 1u);
+  EXPECT_GE(h.driver->move_stats().redraws, 1u);
+  EXPECT_EQ(h.driver->stats().landed, 1u);
 }
 
 TEST(MigrationDriver, BudgetGatesStartsFifoInSubmissionOrder) {
@@ -177,7 +177,7 @@ TEST(MigrationDriver, BudgetGatesStartsFifoInSubmissionOrder) {
   h.submit(blocks[1], 1, 4);
   h.submit(blocks[2], 2, 5);
   h.run();
-  EXPECT_EQ(h.driver->stats().committed, 3u);
+  EXPECT_EQ(h.driver->stats().landed, 3u);
   // Starts spaced by block_bytes / budget = 1 s, strictly in
   // submission order.
   std::vector<obs::TraceRecord> starts;
@@ -201,7 +201,7 @@ TEST(MigrationDriver, RetryBudgetExhaustionReleasesReservation) {
   h.down_at(2.0, 2);
   h.run();
   EXPECT_EQ(h.driver->stats().giveups, 1u);
-  EXPECT_EQ(h.driver->stats().committed, 0u);
+  EXPECT_EQ(h.driver->stats().landed, 0u);
   // Giving up is safe: the source replicas are intact and nothing is
   // pending or reserved anymore.
   const std::vector<cluster::NodeIndex> expect = {0, 1};
@@ -219,7 +219,7 @@ TEST(MigrationDriver, MootMoveIsDroppedWhenSourceReplicaVanished) {
   h.nn.remove_replica(blocks[0], 0);
   h.driver->submit({blocks[0], 0, 2});
   h.run();
-  EXPECT_EQ(h.driver->stats().cancelled, 1u);
+  EXPECT_EQ(h.driver->move_stats().cancelled, 1u);
   EXPECT_EQ(h.driver->stats().started, 0u);
   EXPECT_TRUE(h.nn.pending_moves().empty());
   EXPECT_EQ(h.nn.datanodes().stored(2), 0u);
@@ -235,8 +235,8 @@ TEST(MigrationDriver, CancelAllReleasesQueuedAndInFlightReservations) {
   h.submit(blocks[2], 2, 5);
   h.queue.schedule(1.0, [&] { h.driver->cancel_all(); });
   h.run();
-  EXPECT_EQ(h.driver->stats().cancelled, 3u);
-  EXPECT_EQ(h.driver->stats().committed, 0u);
+  EXPECT_EQ(h.driver->move_stats().cancelled, 3u);
+  EXPECT_EQ(h.driver->stats().landed, 0u);
   EXPECT_TRUE(h.nn.pending_moves().empty());
   EXPECT_EQ(h.nn.datanodes().stored(3), 0u);
   EXPECT_EQ(h.nn.datanodes().stored(4), 0u);
