@@ -152,7 +152,6 @@ class MapReduceSimulation : public InterruptionInjector::Listener,
   // InterruptionInjector::Listener
   void on_node_down(cluster::NodeIndex node) override;
   void on_node_up(cluster::NodeIndex node) override;
-  void on_node_departed(cluster::NodeIndex node) override;
 
  private:
   // A source node's outage outlived the DFS client timeout: abort the
@@ -296,7 +295,6 @@ class MapReduceSimulation : public InterruptionInjector::Listener,
   };
 
   struct NodeState {
-    bool up = true;
     common::Seconds down_at = -1.0;
     // Downtime is charged to "recovery" only while the node still has
     // undone home tasks (that is the downtime that can delay the job);
@@ -357,6 +355,10 @@ class MapReduceSimulation : public InterruptionInjector::Listener,
   void detach_attempt(AttemptId id);
 
   // -- helpers ---------------------------------------------------------
+  // Liveness is the injector's; the simulation keeps no copy.
+  bool is_up(cluster::NodeIndex node) const {
+    return injector_.up().test(node);
+  }
   // Best replica holder that is up *and* whose uplink queue is short
   // enough to be worth joining; nullopt when none qualifies.
   std::optional<cluster::NodeIndex> usable_source(TaskId task) const;
@@ -473,9 +475,6 @@ class MapReduceSimulation : public InterruptionInjector::Listener,
   // "done minus first start", attributed to the winning node); sized
   // only when metrics or calibration need it.
   std::vector<common::Seconds> task_first_start_;
-  // Sim time each node permanently departed (-1 while resident) — the
-  // CUSUM drift detector's ground-truth change points.
-  std::vector<common::Seconds> departed_at_;
 };
 
 // Convenience: board construction input from HDFS metadata.

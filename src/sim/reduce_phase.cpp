@@ -27,8 +27,7 @@ ReducePhaseSimulation::ReducePhaseSimulation(
       rng_(common::Rng(config_.seed).fork(0x2ed0)),
       injector_(queue_, cluster.nodes, *this,
                 common::Rng(config_.seed).fork(0x2ed1),
-                injector_config(config_)),
-      up_(cluster.size(), true) {
+                injector_config(config_)) {
   if (map_winners.empty()) {
     throw std::invalid_argument("reduce: no map outputs");
   }
@@ -101,26 +100,23 @@ ReduceResult ReducePhaseSimulation::run() {
 std::optional<cluster::NodeIndex> ReducePhaseSimulation::pick_host(
     common::Rng& rng) const {
   // Weighted (availability-aware) or uniform draw over live hosts.
+  const cluster::NodeMask& up = injector_.up();
   if (config_.availability_aware) {
     double total = 0.0;
-    for (std::size_t i = 0; i < up_.size(); ++i) {
-      if (up_[i]) total += weights_[i];
-    }
+    up.for_each_set([&](std::uint32_t i) { total += weights_[i]; });
     if (total > 0) {
       double r = rng.uniform() * total;
-      for (std::size_t i = 0; i < up_.size(); ++i) {
-        if (!up_[i]) continue;
+      for (std::size_t i = 0; i < up.size(); ++i) {
+        if (!up.test(i)) continue;
         r -= weights_[i];
         if (r <= 0) return static_cast<cluster::NodeIndex>(i);
       }
     }
   }
-  std::vector<cluster::NodeIndex> live;
-  for (std::size_t i = 0; i < up_.size(); ++i) {
-    if (up_[i]) live.push_back(static_cast<cluster::NodeIndex>(i));
-  }
-  if (live.empty()) return std::nullopt;
-  return live[rng.uniform_index(live.size())];
+  const std::size_t live = up.count();
+  if (live == 0) return std::nullopt;
+  return static_cast<cluster::NodeIndex>(
+      up.nth_set(rng.uniform_index(live)));
 }
 
 void ReducePhaseSimulation::assign_reducer(std::uint32_t r) {
@@ -153,7 +149,7 @@ void ReducePhaseSimulation::advance(std::uint32_t r) {
     advance(r);
     return;
   }
-  if (!up_[src]) {
+  if (!injector_.up().test(src)) {
     // Source down: wait for it, or take the partition from the origin
     // after the reissue delay (the runtime can re-create map output).
     red.stalled = true;
@@ -207,7 +203,6 @@ void ReducePhaseSimulation::on_reduce_done(std::uint32_t r) {
 }
 
 void ReducePhaseSimulation::on_node_down(cluster::NodeIndex node) {
-  up_[node] = false;
   for (std::uint32_t r = 0; r < reducers_.size(); ++r) {
     Reducer& red = reducers_[r];
     if (!red.assigned || red.done) continue;
@@ -240,7 +235,6 @@ void ReducePhaseSimulation::on_node_down(cluster::NodeIndex node) {
 }
 
 void ReducePhaseSimulation::on_node_up(cluster::NodeIndex node) {
-  up_[node] = true;
   network_.reset_uplink(node, queue_.now());
   // Stalled reducers waiting on this source will notice at their next
   // scheduled retry (<= 5 s away).

@@ -109,7 +109,6 @@ class ReducePhaseSimulation : public InterruptionInjector::Listener {
   std::vector<std::pair<cluster::NodeIndex, std::uint64_t>> sources_;
   std::vector<double> weights_;  // reducer-placement weights
   std::vector<Reducer> reducers_;
-  std::vector<bool> up_;
   double gamma_reduce_ = 0.0;
   std::size_t done_count_ = 0;
   ReduceResult result_;

@@ -215,14 +215,19 @@ TEST(Injector, DepartureHazardRemovesNodesForGood) {
   queue.run_until([&] { return queue.now() >= 100.0; });
   EXPECT_NEAR(static_cast<double>(injector.departures()), 200 * 0.632, 25.0);
   std::vector<int> downs(nodes.size(), 0);
+  std::vector<common::Seconds> down_at(nodes.size(), -1.0);
   for (const auto& e : recorder.events) {
     EXPECT_FALSE(e.up);  // a departure is final: no node ever returns
     ++downs[e.node];
+    down_at[e.node] = e.when;
   }
   for (cluster::NodeIndex i = 0; i < nodes.size(); ++i) {
     EXPECT_EQ(downs[i], injector.is_departed(i) ? 1 : 0);
-    EXPECT_EQ(injector.is_up(i), !injector.is_departed(i));
+    EXPECT_EQ(injector.up().test(i), !injector.is_departed(i));
+    // The departure time is the final down event's; residents have none.
+    EXPECT_EQ(injector.departed_at(i), down_at[i]);
   }
+  EXPECT_EQ(injector.up().count(), nodes.size() - injector.departures());
 }
 
 TEST(Injector, BurstDepartsExpectedFraction) {
@@ -323,7 +328,7 @@ TEST(Injector, LateJoinerStartsAbsentThenJoins) {
   EXPECT_EQ(recorder.events[1].node, 1u);
   EXPECT_TRUE(recorder.events[1].up);
   EXPECT_DOUBLE_EQ(recorder.events[1].when, 30.0);
-  EXPECT_TRUE(injector.is_up(1));
+  EXPECT_TRUE(injector.up().test(1));
 }
 
 TEST(Injector, JoinerThatDepartsFirstNeverJoins) {
@@ -339,7 +344,7 @@ TEST(Injector, JoinerThatDepartsFirstNeverJoins) {
   injector.start();
   queue.run_until([&] { return queue.now() >= 100.0; });
   EXPECT_TRUE(injector.is_departed(0));
-  EXPECT_FALSE(injector.is_up(0));
+  EXPECT_FALSE(injector.up().test(0));
   // One absent-at-start down event; the join at 30 was suppressed.
   ASSERT_EQ(recorder.events.size(), 1u);
   EXPECT_FALSE(recorder.events[0].up);
