@@ -66,6 +66,25 @@ placement::PolicyPtr make_policy(
   throw std::invalid_argument("make_policy: unknown kind");
 }
 
+void fill_churn_defaults(
+    sim::SimJobConfig::ChurnConfig& churn, PolicyKind kind, double gamma,
+    std::uint64_t blocks, placement::ChainWeighting weighting,
+    std::shared_ptr<const cluster::FaultDomains> domains) {
+  if (!churn.enabled) return;
+  if (churn.domain_of.empty() && !domains->empty()) {
+    churn.domain_of = domains->domains_of_nodes();
+  }
+  if (churn.policy_factory) return;
+  const auto task_times = std::make_shared<avail::TaskTimeCache>();
+  churn.policy_factory =
+      [kind, gamma, blocks, weighting, task_times, domains](
+          const std::vector<avail::InterruptionParams>& estimates) {
+        return make_policy(kind, estimates, gamma, blocks, weighting,
+                           task_times.get(), /*spans=*/nullptr,
+                           /*now=*/0.0, domains.get());
+      };
+}
+
 std::vector<avail::InterruptionParams> observe_cluster(
     const cluster::Cluster& cluster, common::Seconds window,
     std::uint64_t seed, cluster::HeartbeatCollector::Config heartbeat) {
@@ -231,43 +250,18 @@ ExperimentResult run_experiment(const cluster::Cluster& cluster,
       return !prev || prev(node);
     };
   }
-  if (job_config.churn.enabled) {
-    // The injector's per-domain burst needs the node -> domain map; fill
-    // it from the cluster layout unless the caller supplied one.
-    if (job_config.churn.domain_of.empty() && !domains->empty()) {
-      job_config.churn.domain_of = domains->domains_of_nodes();
-    }
-    // A late joiner is absent at load time: copyFromLocal cannot write
-    // to it.
-    if (!job_config.churn.join_at.empty()) {
-      auto joins = std::make_shared<std::vector<common::Seconds>>(
-          job_config.churn.join_at);
-      auto prev = filter;
-      filter = [joins, prev](cluster::NodeIndex node) {
-        if (node < joins->size() && (*joins)[node] > 0.0) return false;
-        return !prev || prev(node);
-      };
-    }
-    // Default re-replication destination policy: rebuild the configured
-    // placement kind from the heartbeat collector's live estimates, so
-    // recovery placement stays availability-aware as beliefs evolve.
-    if (!job_config.churn.policy_factory) {
-      const PolicyKind kind = config.policy;
-      const double gamma = config.job.gamma;
-      const std::uint64_t blocks = config.blocks;
-      const placement::ChainWeighting weighting = config.weighting;
-      // One memo table across every refresh this run: estimates for
-      // nodes whose beliefs did not move between dead-node events hit
-      // the cache instead of re-running Eq. 5.
-      const auto task_times = std::make_shared<avail::TaskTimeCache>();
-      job_config.churn.policy_factory =
-          [kind, gamma, blocks, weighting, task_times, domains](
-              const std::vector<avail::InterruptionParams>& estimates) {
-            return make_policy(kind, estimates, gamma, blocks, weighting,
-                               task_times.get(), /*spans=*/nullptr,
-                               /*now=*/0.0, domains.get());
-          };
-    }
+  fill_churn_defaults(job_config.churn, config.policy, config.job.gamma,
+                      config.blocks, config.weighting, domains);
+  // A late joiner is absent at load time: copyFromLocal cannot write to
+  // it.
+  if (job_config.churn.enabled && !job_config.churn.join_at.empty()) {
+    auto joins = std::make_shared<std::vector<common::Seconds>>(
+        job_config.churn.join_at);
+    auto prev = filter;
+    filter = [joins, prev](cluster::NodeIndex node) {
+      if (node < joins->size() && (*joins)[node] > 0.0) return false;
+      return !prev || prev(node);
+    };
   }
 
   common::Rng placement_rng = common::Rng(config.seed).fork(0x91ac);

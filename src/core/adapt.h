@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,18 @@ placement::PolicyPtr make_policy(
     avail::TaskTimeCache* task_times = nullptr,
     obs::SpanProfiler* spans = nullptr, common::Seconds now = 0.0,
     const cluster::FaultDomains* domains = nullptr);
+
+// Churn defaults a run fills from its layout unless the caller supplied
+// them: the node -> fault-domain map the injector's per-domain burst
+// needs, and a recovery / rebalance destination policy factory that
+// rebuilds `kind` from the heartbeat collector's live estimates, so
+// recovery placement stays availability-aware as beliefs evolve. All
+// rebuilds share one Eq. 5 memo table: estimates for nodes whose beliefs
+// did not move hit the cache. No-op when churn is off.
+void fill_churn_defaults(
+    sim::SimJobConfig::ChurnConfig& churn, PolicyKind kind, double gamma,
+    std::uint64_t blocks, placement::ChainWeighting weighting,
+    std::shared_ptr<const cluster::FaultDomains> domains);
 
 struct ExperimentConfig {
   PolicyKind policy = PolicyKind::kAdapt;

@@ -115,24 +115,8 @@ JobStreamResult run_job_stream(const cluster::Cluster& initial,
   // regime shifts these stay pinned to the initial truth, the heartbeat
   // estimates walk away from them, and the CUSUM trips.
   if (calibration) job_template.truth_params = params;
-  if (job_template.churn.enabled &&
-      job_template.churn.domain_of.empty() && !domains->empty()) {
-    job_template.churn.domain_of = domains->domains_of_nodes();
-  }
-  if (job_template.churn.enabled && !job_template.churn.policy_factory) {
-    const PolicyKind kind = config.policy;
-    const double gamma = config.job.gamma;
-    const std::uint64_t blocks = config.blocks;
-    const placement::ChainWeighting weighting = config.weighting;
-    const auto task_times = std::make_shared<avail::TaskTimeCache>();
-    job_template.churn.policy_factory =
-        [kind, gamma, blocks, weighting, task_times, domains](
-            const std::vector<avail::InterruptionParams>& estimates) {
-          return make_policy(kind, estimates, gamma, blocks, weighting,
-                             task_times.get(), /*spans=*/nullptr,
-                             /*now=*/0.0, domains.get());
-        };
-  }
+  fill_churn_defaults(job_template.churn, config.policy, config.job.gamma,
+                      config.blocks, config.weighting, domains);
 
   common::Seconds clock = 0.0;
   std::uint64_t job_seed = config.seed;
