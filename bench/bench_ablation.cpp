@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
       core::ExperimentConfig config = base;
       config.run_reduce = true;
       config.reduce.output_ratio = 1.0;  // Terasort shuffles everything
-      config.reduce_availability_aware = aware;
+      config.reduce.availability_aware = aware;
       std::vector<runner::ExperimentRunner::Job> jobs;
       jobs.reserve(static_cast<std::size_t>(runs));
       for (int i = 0; i < runs; ++i) {

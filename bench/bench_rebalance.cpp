@@ -25,7 +25,7 @@
 #include "bench_util.h"
 #include "cluster/topology.h"
 #include "common/stats.h"
-#include "core/job_stream.h"
+#include "core/adapt.h"
 #include "runner/thread_pool.h"
 #include "trace/generator.h"
 #include "workload/sweeps.h"

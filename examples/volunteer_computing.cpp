@@ -3,9 +3,7 @@
 // Generates a synthetic failure trace calibrated to the paper's Table 1,
 // derives per-host availability profiles, and compares placement
 // policies for a MapReduce job dropped onto that population — the
-// Section V-C setting end to end, including the heartbeat-estimation
-// path (the NameNode learns (lambda, mu) by observation instead of
-// being handed ground truth).
+// Section V-C setting end to end.
 //
 //   ./volunteer_computing [--hosts N] [--seed S]
 #include <cstdio>
@@ -65,26 +63,11 @@ int main(int argc, char** argv) {
        {core::PolicyKind::kRandom, core::PolicyKind::kNaive,
         core::PolicyKind::kAdapt}) {
     config.policy = kind;
-    config.use_estimated_params = false;
     const core::ExperimentResult r = core::run_experiment(cluster, config);
     std::printf("%-28s %12s %10s %10s\n", r.policy_name.c_str(),
                 common::format_seconds(r.job.elapsed).c_str(),
                 common::format_percent(r.job.overhead.total_ratio()).c_str(),
                 common::format_percent(r.job.locality).c_str());
   }
-
-  // 4. The full Fig.-2 pipeline: the predictor only knows what the
-  //    heartbeat collector observed during a warm-up window.
-  config.policy = core::PolicyKind::kAdapt;
-  config.use_estimated_params = true;
-  config.observation_window = 2.0 * 24 * 3600;
-  const core::ExperimentResult estimated =
-      core::run_experiment(cluster, config);
-  std::printf("%-28s %12s %10s %10s\n",
-              "adapt (heartbeat-estimated)",
-              common::format_seconds(estimated.job.elapsed).c_str(),
-              common::format_percent(
-                  estimated.job.overhead.total_ratio()).c_str(),
-              common::format_percent(estimated.job.locality).c_str());
   return 0;
 }

@@ -1,6 +1,7 @@
 // Public facade: run a complete ADAPT experiment — build a policy from
 // availability knowledge, load a dataset into the mini-HDFS, simulate
-// the map phase on the volatile cluster, report the paper's metrics.
+// the map phase on the volatile cluster, report the paper's metrics —
+// or a stream of jobs over one such dataset (run_job_stream).
 //
 // Typical use (see examples/quickstart.cpp):
 //
@@ -15,13 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "availability/predictor.h"
 #include "cluster/fault_domains.h"
-#include "cluster/heartbeat.h"
 #include "cluster/topology.h"
 #include "common/stats.h"
 #include "hdfs/client.h"
@@ -60,19 +59,12 @@ placement::PolicyPtr make_policy(
     obs::SpanProfiler* spans = nullptr, common::Seconds now = 0.0,
     const cluster::FaultDomains* domains = nullptr);
 
-// Churn defaults a run fills from its layout unless the caller supplied
-// them: the node -> fault-domain map the injector's per-domain burst
-// needs, and a recovery / rebalance destination policy factory that
-// rebuilds `kind` from the heartbeat collector's live estimates, so
-// recovery placement stays availability-aware as beliefs evolve. All
-// rebuilds share one Eq. 5 memo table: estimates for nodes whose beliefs
-// did not move hit the cache. No-op when churn is off.
-void fill_churn_defaults(
-    sim::SimJobConfig::ChurnConfig& churn, PolicyKind kind, double gamma,
-    std::uint64_t blocks, placement::ChainWeighting weighting,
-    std::shared_ptr<const cluster::FaultDomains> domains);
-
-struct ExperimentConfig {
+// What run_experiment and run_job_stream share: how the dataset is
+// placed, the template every job starts from, the seed and the
+// observability options. Both entry points run the same set-up from it
+// once: the sinks, the Algorithm 1 policy and Eq. 5 quotes over the
+// cluster's (lambda, mu), the NameNode and the load.
+struct SetupConfig {
   PolicyKind policy = PolicyKind::kAdapt;
   int replication = 1;
   std::uint32_t blocks = 0;  // m; must be set
@@ -83,14 +75,21 @@ struct ExperimentConfig {
   // clusters (sites == 0), keeping their runs byte-identical.
   bool domain_anti_affinity = false;
   placement::ChainWeighting weighting = placement::ChainWeighting::kPaper;
+  // Template for every job. The set-up fills in the sinks, sample_dt
+  // and truth_params and, unless the caller supplied them, the
+  // calibrated scheduler's quotes and the churn defaults: the node ->
+  // domain map, and a recovery / rebalance policy rebuilt as `policy`
+  // from the heartbeat estimates through one Eq. 5 memo.
   sim::SimJobConfig job;
+  std::uint64_t seed = 1;
+  // Observability: the set-up owns one tracer, registry, profiler and
+  // calibration tracker per run or stream (the tracker also whenever
+  // the rebalance loop is on, which needs obs.sample_dt > 0) and
+  // returns what they collected.
+  obs::Options obs;
+};
 
-  // When true, the Performance Predictor learns (lambda, mu) from a
-  // heartbeat-observation window instead of receiving ground truth —
-  // the full NameNode pipeline of paper Fig. 2.
-  bool use_estimated_params = false;
-  common::Seconds observation_window = 600.0;
-
+struct ExperimentConfig : SetupConfig {
   // Model-driven clusters: start each node in its steady state (down
   // with probability rho, mid-residual-outage) and place data only on
   // the nodes up at load time, the way a real copyFromLocal would. Off
@@ -99,20 +98,11 @@ struct ExperimentConfig {
   bool steady_state_start = false;
 
   // Extension (paper future work): also simulate the shuffle + reduce
-  // phase after the map phase. reduce.params / replay plumbing are
-  // filled in by run_experiment; set the rest as desired.
+  // phase after the map phase. reduce.params (when availability_aware)
+  // and the replay plumbing are filled in by run_experiment; set the
+  // rest as desired.
   bool run_reduce = false;
   sim::ReduceConfig reduce;
-  // Availability-aware reducer placement uses the same (lambda, mu)
-  // knowledge as the map-side policy when enabled.
-  bool reduce_availability_aware = false;
-
-  std::uint64_t seed = 1;
-
-  // Observability: when obs.enabled(), run_experiment owns a tracer and
-  // metrics registry for the run and returns what they collected in
-  // ExperimentResult::obs.
-  obs::Options obs;
 };
 
 struct ExperimentResult {
@@ -130,13 +120,66 @@ struct ExperimentResult {
 ExperimentResult run_experiment(const cluster::Cluster& cluster,
                                 const ExperimentConfig& config);
 
-// Observe the cluster's availability through a heartbeat collector for
-// `window` simulated seconds and return the per-node estimates — what
-// the NameNode would know instead of ground truth.
-std::vector<avail::InterruptionParams> observe_cluster(
-    const cluster::Cluster& cluster, common::Seconds window,
-    std::uint64_t seed,
-    cluster::HeartbeatCollector::Config heartbeat = {});
+// Continuous open-loop workload: a stream of map jobs arriving against
+// ONE persistent mini-HDFS. The dataset is placed once, at t = 0, under
+// the initial availability regime; every job then reads the same file,
+// and whatever churn, data loss, re-replication and rebalancing happened
+// during job j is the starting state of job j+1.
+//
+// The availability regime can shift mid-stream (`shift_at_job`): jobs
+// from that index on run against a *different* cluster truth while the
+// placement still reflects the original beliefs. With the drift loop on
+// (SimJobConfig::rebalance) the CUSUM alarms re-estimate (lambda, mu),
+// rebuild the Algorithm-1 weights and migrate the badly-placed replicas;
+// with it off the stale placement just keeps paying for the shift. The
+// bench_rebalance sweep measures that difference.
+struct JobStreamConfig : SetupConfig {
+  // Open-loop arrival process: job j is submitted at j * arrival_gap and
+  // starts as soon as its predecessor finished (FIFO, one job at a
+  // time — map-slot contention across jobs is out of scope).
+  int jobs = 4;
+  common::Seconds arrival_gap = 0.0;
+
+  // Index of the first job that runs under the shifted regime; < 0
+  // disables the shift (the `shifted` cluster argument is ignored).
+  int shift_at_job = -1;
+};
+
+struct JobStreamResult {
+  // End of the last job on the stream timeline (arrival gaps included).
+  common::Seconds makespan = 0.0;
+  std::vector<sim::JobResult> jobs;
+  hdfs::TransferSummary load;  // one-time copyFromLocal cost
+  std::string policy_name;
+
+  // Realized / predicted across the whole stream (0 without calibration).
+  double calibration_ratio = 0.0;
+
+  // Stream-wide totals.
+  std::uint64_t failed_jobs = 0;
+  std::uint64_t blocks_lost = 0;
+  std::uint64_t tasks_lost = 0;
+  std::uint64_t rereplications = 0;
+  std::uint64_t rebalance_triggers = 0;
+  std::uint64_t migrations_submitted = 0;
+  std::uint64_t migrations_committed = 0;
+  std::uint64_t migration_retries = 0;
+  std::uint64_t migration_giveups = 0;
+  std::uint64_t migration_bytes = 0;
+
+  // The sinks are shared by every job, so traces, metrics and CUSUM
+  // state accumulate across the stream. Each job's event clock restarts
+  // at zero; trace timestamps are per job.
+  obs::RunObservations obs;
+};
+
+// Run `config.jobs` jobs back to back. `initial` is the regime the data
+// was placed under; `shifted` (same node count) takes over at
+// `config.shift_at_job`. Throws ConfigError / invalid_argument on
+// inconsistent configuration.
+JobStreamResult run_job_stream(const cluster::Cluster& initial,
+                               const cluster::Cluster& shifted,
+                               const JobStreamConfig& config);
 
 // The paper averages ten runs per point; this mirrors that.
 struct RepeatedResult {

@@ -1,5 +1,4 @@
-// The public facade: policies, experiments, observation-driven
-// prediction, repeated runs.
+// The public facade: policies, experiments, repeated runs.
 #include <gtest/gtest.h>
 
 #include "core/adapt.h"
@@ -30,27 +29,6 @@ TEST(MakePolicy, AdaptFavorsDedicatedNodes) {
   EXPECT_GT(shares[0], shares[1] * 2.0);
 }
 
-TEST(ObserveCluster, EstimatesApproachTruth) {
-  cluster::EmulationConfig emu;
-  emu.node_count = 8;
-  emu.interrupted_ratio = 1.0;
-  const cluster::Cluster cl = cluster::emulated_cluster(emu);
-  // Long window so the estimator converges; heartbeat latency small.
-  cluster::HeartbeatCollector::Config hb;
-  hb.interval = 0.5;
-  hb.miss_threshold = 1;
-  const auto estimates = observe_cluster(cl, 20000.0, 3, hb);
-  const auto truth = cl.params();
-  ASSERT_EQ(estimates.size(), truth.size());
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_NEAR(estimates[i].lambda, truth[i].lambda,
-                0.3 * truth[i].lambda)
-        << "node " << i;
-    EXPECT_NEAR(estimates[i].mu, truth[i].mu, 0.3 * truth[i].mu)
-        << "node " << i;
-  }
-}
-
 TEST(RunExperiment, ProducesConsistentResult) {
   cluster::EmulationConfig emu;
   emu.node_count = 16;
@@ -73,27 +51,31 @@ TEST(RunExperiment, ProducesConsistentResult) {
   EXPECT_LE(result.placement_skew, 1.6);
 }
 
-TEST(RunExperiment, EstimatedParamsPipelineRuns) {
+TEST(RunExperiment, Validation) {
+  const cluster::Cluster cl =
+      cluster::emulated_cluster(cluster::EmulationConfig{});
+  ExperimentConfig config;  // blocks unset
+  EXPECT_THROW(run_experiment(cl, config), std::invalid_argument);
+}
+
+TEST(RunExperiment, RebalanceLoopGetsTheCalibrationTracker) {
+  // The drift loop steps the CUSUM on the sampling tick, so a run with
+  // the loop on needs sample_dt > 0 and gets a calibration tracker even
+  // when obs.calibration is off, as a job stream does.
   cluster::EmulationConfig emu;
   emu.node_count = 16;
   const cluster::Cluster cl = cluster::emulated_cluster(emu);
   ExperimentConfig config;
   config.blocks = 160;
   config.job.gamma = 6.0;
-  config.use_estimated_params = true;
-  config.observation_window = 300.0;
-  config.seed = 22;
-  const ExperimentResult result = run_experiment(cl, config);
-  EXPECT_EQ(result.job.local_wins + result.job.remote_wins +
-                result.job.origin_wins,
-            result.job.tasks);
-}
-
-TEST(RunExperiment, Validation) {
-  const cluster::Cluster cl =
-      cluster::emulated_cluster(cluster::EmulationConfig{});
-  ExperimentConfig config;  // blocks unset
+  config.job.churn.enabled = true;
+  config.job.rebalance.enabled = true;
+  config.seed = 25;
   EXPECT_THROW(run_experiment(cl, config), std::invalid_argument);
+  config.obs.sample_dt = 10.0;
+  const ExperimentResult result = run_experiment(cl, config);
+  EXPECT_EQ(result.job.tasks, 160u);
+  EXPECT_GT(result.obs.calibration.pairs, 0u);
 }
 
 TEST(RunRepeated, AveragesAcrossSeeds) {
@@ -133,7 +115,7 @@ TEST(RunExperiment, ReducePhaseExtension) {
 
   // Availability-aware reducer placement also runs end to end.
   ExperimentConfig aware = config;
-  aware.reduce_availability_aware = true;
+  aware.reduce.availability_aware = true;
   const ExperimentResult aware_result = run_experiment(cl, aware);
   EXPECT_GT(aware_result.reduce.elapsed, 0.0);
 }

