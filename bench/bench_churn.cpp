@@ -148,9 +148,10 @@ void run_sweep(runner::ExperimentRunner& exec, runner::Report& report,
 
 // Gray-failure sweep: per-beat heartbeat loss crossed with a timed
 // partition of a quarter of the pool, on top of mild crash churn.
-// Bitrot + scanner + safe mode run in every cell so the detection
-// machinery (not just the injection) is exercised at bench scale. A
-// short dead timeout makes lossy detection actually misfire.
+// Bitrot and the scanner run in every cell, and safe mode in every cell
+// with loss or a partition, so the detection machinery (not just the
+// injection) is exercised at bench scale. A short dead timeout makes
+// lossy detection actually misfire.
 struct GrayPoint {
   std::string label;
   double loss;
@@ -190,8 +191,10 @@ void run_gray_sweep(runner::ExperimentRunner& exec, runner::Report& report,
     churn.bitrot_rate = 1.0 / 300.0;
     churn.scan_interval = 60.0;
     churn.scan_blocks_per_sweep = 16;
-    churn.safe_mode_threshold = 0.2;
-    churn.safe_mode_hold = 60.0;
+    if (churn.message_level()) {
+      churn.safe_mode_threshold = 0.2;
+      churn.safe_mode_hold = 60.0;
+    }
     churn.rereplication.max_concurrent = rr_concurrency;
     for (const ChurnSeries& s : series) {
       config.policy = s.policy;

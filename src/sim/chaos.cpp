@@ -94,7 +94,9 @@ SimJobConfig::ChurnConfig build_schedule(const ChaosConfig& config) {
     churn.scan_interval = 20.0;
     churn.scan_blocks_per_sweep = 8;
   }
-  if (config.safe_mode) {
+  // Safe mode gates message-level detection only; the sampled loss can
+  // be 0 and the partition count can draw 0.
+  if (config.safe_mode && churn.message_level()) {
     churn.safe_mode_threshold = 0.25;
     churn.safe_mode_hold = 20.0;
   }

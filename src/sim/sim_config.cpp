@@ -123,6 +123,12 @@ void SimJobConfig::validate() const {
       throw ConfigError("churn.safe_mode_threshold",
                         "must be in [0, 1] (0 = safe mode off)");
     }
+    if (churn.safe_mode_threshold > 0 && !churn.message_level()) {
+      throw ConfigError("churn.safe_mode_threshold",
+                        "needs message-level heartbeats (heartbeat loss or "
+                        "a partition); transition-level detection declares "
+                        "nodes dead directly, so safe mode could never act");
+    }
     if (churn.safe_mode_threshold > 0 &&
         (!(churn.safe_mode_hold > 0) || !std::isfinite(churn.safe_mode_hold))) {
       throw ConfigError("churn.safe_mode_hold",

@@ -76,6 +76,24 @@ TEST(SimConfigTest, ChurnChecksAreGatedOnEnabled) {
   EXPECT_EQ(thrown_field([&] { config.validate(); }), "churn.dead_timeout");
 }
 
+TEST(SimConfigTest, SafeModeNeedsMessageLevelHeartbeats) {
+  // The safe-mode gate runs on message-level heartbeat rounds only; with
+  // transition-level detection a threshold would be silently inert.
+  SimJobConfig config;
+  config.churn.enabled = true;
+  config.churn.safe_mode_threshold = 0.2;
+  EXPECT_EQ(thrown_field([&] { config.validate(); }),
+            "churn.safe_mode_threshold");
+  config.churn.heartbeat_loss_prob = 0.01;
+  EXPECT_NO_THROW(config.validate());
+  config.churn.heartbeat_loss_prob = 0.0;
+  SimJobConfig::ChurnConfig::Partition part;
+  part.heal_at = 10.0;
+  part.nodes = {0};
+  config.churn.partitions.push_back(part);
+  EXPECT_NO_THROW(config.validate());
+}
+
 TEST(SimConfigTest, SchedulerChecksNameStructuredFields) {
   SimJobConfig config;
   config.scheduler.node_quotes = {5.0, -0.5};
