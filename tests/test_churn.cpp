@@ -5,10 +5,14 @@
 
 #include <stdexcept>
 
+#include "cluster/network.h"
+#include "cluster/node_mask.h"
 #include "cluster/topology.h"
 #include "hdfs/namenode.h"
+#include "obs/trace.h"
 #include "placement/random_policy.h"
 #include "sim/mapreduce_sim.h"
+#include "sim/rereplication.h"
 
 namespace {
 
@@ -46,6 +50,55 @@ hdfs::FileId plant_file(hdfs::NameNode& nn,
     for (const auto node : replicas[b]) nn.add_replica(block, node);
   }
   return id;
+}
+
+// With no retry budget, a copy whose destination goes down mid-flight
+// is given up. Giving up must release the block: enqueue ignores
+// tracked blocks, so a block still tracked could never be repaired.
+TEST(ReReplicator, GiveUpReleasesTheBlockForALaterRepair) {
+  constexpr std::uint64_t kBlockBytes = 8 * kMiB;  // 8.4 s at 8 Mb/s
+  EventQueue queue;
+  hdfs::NameNode nn(2);
+  cluster::Network::Config net;
+  net.uplink_bps.assign(2, mbps(8));
+  net.downlink_bps.assign(2, mbps(8));
+  cluster::Network network(net);
+  cluster::NodeMask up(2, /*value=*/true);
+  obs::EventTracer tracer;
+  ReReplicator::Config config;
+  config.max_retries = 0;
+  ReReplicator rr(queue, nn, network, kBlockBytes, config, common::Rng(5),
+                  up);
+  rr.set_policy(placement::make_random_policy(2));
+  rr.set_tracer(&tracer);
+
+  // Replication 2 with one holder left: node 1 is the only destination.
+  const hdfs::BlockId block = nn.file(plant_file(nn, {{0, 1}})).blocks[0];
+  nn.remove_replica(block, 1);
+  rr.enqueue(block);
+  EXPECT_EQ(rr.stats().started, 1u);
+  queue.schedule(2.0, [&] {
+    up.reset(1);
+    rr.on_node_down(1);
+  });
+  queue.run_until([] { return false; });
+  EXPECT_EQ(rr.stats().giveups, 1u);
+  EXPECT_EQ(rr.stats().landed, 0u);
+  EXPECT_TRUE(rr.idle());
+  std::size_t giveup_records = 0;
+  for (const obs::TraceRecord& r : tracer.take_records()) {
+    if (r.type == obs::EventType::kRereplicationGiveup) ++giveup_records;
+  }
+  EXPECT_EQ(giveup_records, 1u);
+
+  // The destination returns and the block is enqueued again: a new copy
+  // starts and lands.
+  up.set(1);
+  rr.enqueue(block);
+  EXPECT_EQ(rr.stats().started, 2u);
+  queue.run_until([] { return false; });
+  EXPECT_EQ(rr.stats().landed, 1u);
+  EXPECT_EQ(nn.block(block).replicas.size(), 2u);
 }
 
 // Node 0 holds one replica of three blocks and leaves for good at t=30.
