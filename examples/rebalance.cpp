@@ -56,12 +56,7 @@ int main(int argc, char** argv) {
   options.fidelity_cap = true;  // Section IV-C threshold
   hdfs::NameNode namenode(cluster.size(), options);
 
-  cluster::Network::Config net;
-  for (const cluster::NodeSpec& node : cluster.nodes) {
-    net.uplink_bps.push_back(node.uplink_bps);
-    net.downlink_bps.push_back(node.downlink_bps);
-  }
-  cluster::Network network(net);
+  cluster::Network network(cluster.network_config());
 
   const auto adapt_policy = core::make_policy(
       core::PolicyKind::kAdapt, cluster.params(), workload.gamma(), blocks);

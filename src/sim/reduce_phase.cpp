@@ -137,7 +137,6 @@ void ReducePhaseSimulation::advance(std::uint32_t r) {
   Reducer& red = reducers_[r];
   if (red.next_source >= sources_.size()) {
     // Shuffle complete: run the reduce computation.
-    red.executing = true;
     red.event = queue_.schedule(queue_.now() + gamma_reduce_,
                                 [this, r] { on_reduce_done(r); });
     return;
@@ -152,7 +151,6 @@ void ReducePhaseSimulation::advance(std::uint32_t r) {
   if (!injector_.up().test(src)) {
     // Source down: wait for it, or take the partition from the origin
     // after the reissue delay (the runtime can re-create map output).
-    red.stalled = true;
     if (red.stall_since < 0) red.stall_since = queue_.now();
     const common::Seconds ripe = red.stall_since + config_.reissue_delay;
     if (queue_.now() >= ripe) {
@@ -167,7 +165,6 @@ void ReducePhaseSimulation::advance(std::uint32_t r) {
         });
     return;
   }
-  red.stalled = false;
   red.stall_since = -1.0;
   begin_fetch(r, /*from_origin=*/false);
 }
@@ -176,7 +173,6 @@ void ReducePhaseSimulation::begin_fetch(std::uint32_t r, bool from_origin) {
   Reducer& red = reducers_[r];
   const auto [src, bytes] = sources_[red.next_source];
   red.fetching = true;
-  red.stalled = false;
   red.stall_since = -1.0;
   red.fetch_src = from_origin ? cluster::kOriginEndpoint : src;
   red.fetch = network_.request(red.fetch_src, red.node, bytes, queue_.now());
@@ -196,7 +192,6 @@ void ReducePhaseSimulation::on_fetch_done(std::uint32_t r) {
 
 void ReducePhaseSimulation::on_reduce_done(std::uint32_t r) {
   Reducer& red = reducers_[r];
-  red.executing = false;
   red.done = true;
   ++done_count_;
   result_.elapsed = queue_.now();
@@ -223,7 +218,6 @@ void ReducePhaseSimulation::on_node_down(cluster::NodeIndex node) {
       red.fetching = false;
       network_.abort(red.fetch, queue_.now());
       red.stall_since = queue_.now();
-      red.stalled = true;
       const std::uint32_t id = r;
       queue_.schedule(queue_.now(), [this, id] {
         reducers_[id].event = EventQueue::Handle();

@@ -81,8 +81,6 @@ class ReducePhaseSimulation : public InterruptionInjector::Listener {
     cluster::NodeIndex node = 0;
     std::size_t next_source = 0;   // index into sources_
     bool fetching = false;
-    bool executing = false;
-    bool stalled = false;          // current fetch's source is down
     bool done = false;
     cluster::TransferGrant fetch;
     cluster::NodeIndex fetch_src = 0;
@@ -113,8 +111,5 @@ class ReducePhaseSimulation : public InterruptionInjector::Listener {
   std::size_t done_count_ = 0;
   ReduceResult result_;
 };
-
-// Convenience: run map then reduce and return both results.
-struct MapReduceJobResult;
 
 }  // namespace adapt::sim
