@@ -1,12 +1,10 @@
-// Trace generator, I/O, statistics, and per-host profile extraction.
+// Trace generator, statistics, and per-host profile extraction.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "trace/generator.h"
 #include "trace/profile.h"
-#include "trace/trace_io.h"
 #include "trace/trace_stats.h"
 
 namespace {
@@ -127,41 +125,6 @@ TEST(TraceStats, HandComputedExample) {
   // Per-host means: node0 gap (10+30)/2 = 20, node1 gap 20.
   EXPECT_DOUBLE_EQ(stats.mtbi_per_host.mean, 20.0);
   EXPECT_DOUBLE_EQ(stats.duration_per_host.mean, (6.0 + 3.0) / 2.0);
-}
-
-TEST(TraceIo, RoundTrip) {
-  Trace trace;
-  trace.node_count = 3;
-  trace.horizon = 1000.0;
-  trace.events = {{0, 1.5, 2.25}, {2, 10.0, 0.5}, {1, 20.0, 100.0}};
-  std::stringstream buffer;
-  write_trace(buffer, trace);
-  const Trace round = read_trace(buffer);
-  EXPECT_EQ(round.node_count, trace.node_count);
-  EXPECT_DOUBLE_EQ(round.horizon, trace.horizon);
-  ASSERT_EQ(round.events.size(), trace.events.size());
-  for (std::size_t i = 0; i < trace.events.size(); ++i) {
-    EXPECT_EQ(round.events[i].node, trace.events[i].node);
-    EXPECT_NEAR(round.events[i].start, trace.events[i].start, 1e-6);
-    EXPECT_NEAR(round.events[i].duration, trace.events[i].duration, 1e-6);
-  }
-}
-
-TEST(TraceIo, RejectsMalformedInput) {
-  auto parse = [](const std::string& text) {
-    std::stringstream in(text);
-    return read_trace(in);
-  };
-  EXPECT_THROW(parse(""), std::runtime_error);
-  EXPECT_THROW(parse("junk\n"), std::runtime_error);
-  EXPECT_THROW(parse("# adapt-trace v1 nodes=2 horizon=10\nbad header\n"),
-               std::runtime_error);
-  const std::string header =
-      "# adapt-trace v1 nodes=2 horizon=10\nnode,start,duration\n";
-  EXPECT_THROW(parse(header + "5,1,1\n"), std::runtime_error);   // node oob
-  EXPECT_THROW(parse(header + "0,-1,1\n"), std::runtime_error);  // negative
-  EXPECT_THROW(parse(header + "0,5,1\n0,2,1\n"), std::runtime_error);
-  EXPECT_THROW(parse(header + "0,x,1\n"), std::runtime_error);
 }
 
 TEST(Profile, BusyPeriodMerging) {
