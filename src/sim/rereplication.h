@@ -60,12 +60,16 @@ class ReReplicator : public ReplicaMover {
   bool start_repair(std::size_t pending_index);
 
   int target_replication(hdfs::BlockId block) const;
-  bool tracked(hdfs::BlockId block) const;
-  void finish_block(hdfs::BlockId block);  // leaves the tracked set
+  bool tracked(hdfs::BlockId block) const {
+    return block < tracked_.size() && tracked_[block];
+  }
+  void finish_block(hdfs::BlockId block) { tracked_[block] = false; }
 
   bool enabled_;
   ReplicatedFn on_replicated_;
-  std::vector<hdfs::BlockId> tracked_;  // pending + in-flight block ids
+  // Per block: pending or in flight. Sized from the NameNode's block
+  // count; a block created later grows it on its first enqueue.
+  std::vector<bool> tracked_;
 };
 
 }  // namespace adapt::sim

@@ -101,6 +101,62 @@ TEST(ReReplicator, GiveUpReleasesTheBlockForALaterRepair) {
   EXPECT_EQ(nn.block(block).replicas.size(), 2u);
 }
 
+// Blocks queue while their holders are down. Behind the queue's back the
+// NameNode refills one and loses the last replica of another; the next
+// drain must drop both in one pass, release them for a later enqueue,
+// and start the lowest-id block among those with the fewest replicas.
+TEST(ReReplicator, DrainDropsRefilledAndLostBlocksInOnePass) {
+  EventQueue queue;
+  hdfs::NameNode nn(6);
+  cluster::Network::Config net;
+  net.uplink_bps.assign(6, mbps(8));
+  net.downlink_bps.assign(6, mbps(8));
+  cluster::Network network(net);
+  cluster::NodeMask up(6, /*value=*/true);
+  obs::EventTracer tracer;
+  ReReplicator::Config config;
+  config.max_concurrent = 1;
+  ReReplicator rr(queue, nn, network, 8 * kMiB, config, common::Rng(5), up);
+  rr.set_policy(placement::make_random_policy(6));
+  rr.set_tracer(&tracer);
+
+  // Replication 3. Holders: b0 {0}, b1 {1}, b2 {1, 0}, b3 {1}, b4 {1, 0},
+  // b5 {1}. Nodes 0 and 1 are down, so no block has a source.
+  const hdfs::FileId file = plant_file(
+      nn, {{0, 2, 3}, {1, 2, 3}, {1, 0, 2}, {1, 2, 3}, {1, 0, 2}, {1, 2, 3}});
+  const std::vector<hdfs::BlockId>& b = nn.file(file).blocks;
+  for (const hdfs::BlockId block : b) {
+    for (const cluster::NodeIndex n : {2, 3}) {
+      if (nn.block(block).hosted_on(n)) nn.remove_replica(block, n);
+    }
+  }
+  up.reset(0);
+  up.reset(1);
+  for (const hdfs::BlockId block : b) rr.enqueue(block);
+  EXPECT_EQ(rr.stats().started, 0u);
+  ASSERT_EQ(rr.backlog(), 6u);
+
+  nn.add_replica(b[0], 2);  // refilled to 3
+  nn.add_replica(b[0], 3);
+  nn.remove_replica(b[1], 1);  // lost
+  up.set(1);
+  rr.on_node_up(1);
+  // b0 and b1 left; b3 moved from waiting to in flight.
+  EXPECT_EQ(rr.backlog(), 4u);
+  ASSERT_EQ(rr.stats().started, 1u);
+  std::vector<hdfs::BlockId> starts;
+  for (const obs::TraceRecord& r : tracer.take_records()) {
+    if (r.type == obs::EventType::kRereplicationStart) starts.push_back(r.task);
+  }
+  // b2 and b4 have two replicas; b3 and b5 one, and b3 has the lower id.
+  EXPECT_EQ(starts, std::vector<hdfs::BlockId>{b[3]});
+
+  // The refilled block was released: a fresh loss queues it again.
+  nn.remove_replica(b[0], 2);
+  rr.enqueue(b[0]);
+  EXPECT_EQ(rr.backlog(), 5u);
+}
+
 // Node 0 holds one replica of three blocks and leaves for good at t=30.
 // Detection (3 s x 2 misses) + dead_timeout 20 declares it dead at ~56;
 // the pipeline must restore every dropped replica on the survivors and
