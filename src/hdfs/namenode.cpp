@@ -189,6 +189,7 @@ FileId NameNode::create_file(const std::string& name,
       for (const cluster::NodeIndex n : blocks_[b].replicas) {
         nodes_.remove_replica(n);
         sync_placeable(n);
+        index_remove(b, n);
       }
     }
     blocks_.resize(first_block);
@@ -219,6 +220,7 @@ FileId NameNode::create_file(const std::string& name,
         --candidate_count;
       }
     }
+    for (const cluster::NodeIndex n : info.replicas) index_add(block_id, n);
     blocks_.push_back(std::move(info));
     file_info.blocks.push_back(block_id);
   }
@@ -332,6 +334,7 @@ void NameNode::commit_move(BlockId block, cluster::NodeIndex from,
   // The reservation made by begin_move becomes the real replica; no
   // second usage bump.
   blocks_.at(block).replicas.push_back(to);
+  index_add(block, to);
   // Drop the source copy. If a node death already wrote it off
   // mid-transfer the new replica simply lands (net replica gain).
   if (blocks_.at(block).hosted_on(from)) {
@@ -389,9 +392,15 @@ void NameNode::add_replica(BlockId block, cluster::NodeIndex node) {
   info.replicas.push_back(node);
   nodes_.add_replica(node);
   sync_placeable(node);
+  index_add(block, node);
 }
 
 void NameNode::remove_replica(BlockId block, cluster::NodeIndex node) {
+  unlink_replica(block, node);
+  index_remove(block, node);
+}
+
+void NameNode::unlink_replica(BlockId block, cluster::NodeIndex node) {
   BlockInfo& info = blocks_.at(block);
   const auto it =
       std::find(info.replicas.begin(), info.replicas.end(), node);
@@ -403,12 +412,44 @@ void NameNode::remove_replica(BlockId block, cluster::NodeIndex node) {
   sync_placeable(node);
 }
 
+void NameNode::index_add(BlockId block, cluster::NodeIndex node) {
+  if (!held_.empty()) held_[node].push_back(static_cast<std::uint32_t>(block));
+}
+
+void NameNode::index_remove(BlockId block, cluster::NodeIndex node) {
+  if (held_.empty()) return;
+  std::vector<std::uint32_t>& list = held_[node];
+  // The latest additions sit at the back, where a rollback finds them.
+  const auto it =
+      std::find(list.rbegin(), list.rend(), static_cast<std::uint32_t>(block));
+  if (it == list.rend()) {
+    throw std::logic_error("replica index: node does not list block");
+  }
+  *it = list.back();
+  list.pop_back();
+}
+
 std::vector<BlockId> NameNode::mark_node_dead(cluster::NodeIndex node) {
   if (node >= node_count()) {
     throw std::out_of_range("mark_node_dead: bad node");
   }
   std::vector<BlockId> affected;
   if (dead_[node]) return affected;
+  if (held_.empty()) {
+    // First death: build the per-node block lists, each reserved to its
+    // exact size.
+    std::vector<std::size_t> counts(node_count(), 0);
+    for (const BlockInfo& info : blocks_) {
+      for (const cluster::NodeIndex n : info.replicas) ++counts[n];
+    }
+    held_.resize(node_count());
+    for (std::size_t n = 0; n < node_count(); ++n) held_[n].reserve(counts[n]);
+    for (BlockId b = 0; b < blocks_.size(); ++b) {
+      for (const cluster::NodeIndex n : blocks_[b].replicas) {
+        held_[n].push_back(static_cast<std::uint32_t>(b));
+      }
+    }
+  }
   dead_[node] = true;
   placeable_.reset(node);
   // Pending moves *into* the dead node can never complete: release
@@ -422,12 +463,11 @@ std::vector<BlockId> NameNode::mark_node_dead(cluster::NodeIndex node) {
                            static_cast<std::ptrdiff_t>(i));
     }
   }
-  for (BlockId b = 0; b < blocks_.size(); ++b) {
-    if (blocks_[b].hosted_on(node)) {
-      remove_replica(b, node);
-      affected.push_back(b);
-    }
-  }
+  std::vector<std::uint32_t> held = std::move(held_[node]);
+  held_[node].clear();
+  std::sort(held.begin(), held.end());
+  affected.assign(held.begin(), held.end());
+  for (const BlockId b : affected) unlink_replica(b, node);
   // The disk still holds these copies; revive_node restores from this
   // ledger if the death turns out to have been a false declaration.
   written_off_[node] = affected;
@@ -467,6 +507,7 @@ NameNode::ReviveReport NameNode::revive_node(cluster::NodeIndex node) {
       info.replicas.push_back(node);
       nodes_.add_replica(node);
       sync_placeable(node);
+      index_add(b, node);
       ++stats_.replicas_restored;
       report.restored.push_back(b);
       continue;
@@ -482,6 +523,7 @@ NameNode::ReviveReport NameNode::revive_node(cluster::NodeIndex node) {
       info.replicas.push_back(node);
       nodes_.add_replica(node);
       sync_placeable(node);
+      index_add(b, node);
       ++stats_.replicas_restored;
       report.restored.push_back(b);
       report.trimmed.push_back({b, *victim});

@@ -147,11 +147,11 @@ class NameNode {
   // -- Dead-node registry -------------------------------------------
   // Declare a node dead: every replica it held is written off (the
   // directory forgets them) and the affected blocks are returned, each
-  // once, for re-replication. Pending moves *into* the node are
-  // aborted (their reservations released); pending moves *out* stay —
-  // the migration driver re-sources them from a surviving holder. The
-  // node is ineligible for placement until revived. Idempotent: a
-  // second call returns nothing.
+  // once and in ascending order, for re-replication. Pending moves
+  // *into* the node are aborted (their reservations released); pending
+  // moves *out* stay — the migration driver re-sources them from a
+  // surviving holder. The node is ineligible for placement until
+  // revived. Idempotent: a second call returns nothing.
   std::vector<BlockId> mark_node_dead(cluster::NodeIndex node);
 
   // What revive_node did: the blocks whose disk copy was re-registered
@@ -213,6 +213,13 @@ class NameNode {
   // Recompute the placeable_ bit for one node after a mutation.
   void sync_placeable(cluster::NodeIndex node);
 
+  // Drop `node` from the block's holders and from the directory,
+  // leaving the per-node block lists alone.
+  void unlink_replica(BlockId block, cluster::NodeIndex node);
+  // Keep the per-node block lists current once they exist.
+  void index_add(BlockId block, cluster::NodeIndex node);
+  void index_remove(BlockId block, cluster::NodeIndex node);
+
   // Trim victim when restoring `node`'s disk copy of an over-replicated
   // block: an existing holder sharing a domain with another holder
   // (swapping it for the disk copy improves spread), or nullopt when the
@@ -231,6 +238,13 @@ class NameNode {
   // Blocks whose replica on node i was written off by mark_node_dead —
   // the "what is still on its disk" ledger revive_node restores from.
   std::vector<std::vector<BlockId>> written_off_;
+  // The blocks each node holds a replica of, unordered (HDFS's
+  // per-DataNode block list), so a death costs the node's blocks rather
+  // than a scan of every block. Built by the first mark_node_dead and
+  // kept current by every replica mutation from then on; empty before,
+  // so a run that declares no node dead never pays for it. Ids are 32
+  // bits wide, as in trace records.
+  std::vector<std::vector<std::uint32_t>> held_;
   std::shared_ptr<const cluster::FaultDomains> domains_;
   bool anti_affine_ = false;
   Stats stats_;
