@@ -61,8 +61,7 @@ WeightedHashPolicy::WeightedHashPolicy(std::string name,
                                        ChainWeighting weighting)
     : name_(std::move(name)),
       weights_(uniform_if_all_zero(std::move(weights))),
-      table_(weights_, blocks, weighting),
-      realized_(table_.selection_probabilities()) {}
+      table_(weights_, blocks, weighting) {}
 
 std::optional<cluster::NodeIndex> WeightedHashPolicy::choose(
     const cluster::NodeMask& eligible, common::Rng& rng) const {
@@ -80,6 +79,8 @@ std::optional<cluster::NodeIndex> WeightedHashPolicy::choose(
     const std::uint32_t node = table_.sample(rng);
     if (eligible.test(node)) return node;
   }
+  std::call_once(realized_once_,
+                 [this] { realized_ = table_.selection_probabilities(); });
   return masked_exact_draw(realized_, eligible, rng);
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 
 #include "placement/hash_table.h"
 #include "placement/policy.h"
@@ -33,9 +34,12 @@ class WeightedHashPolicy : public PlacementPolicy {
   std::string name_;
   std::vector<double> weights_;
   BlockHashTable table_;
-  // Cached table_.selection_probabilities(); the masked-draw fallback
-  // must match the distribution the rejection loop realizes.
-  std::vector<double> realized_;
+  // table_.selection_probabilities(), computed on the first masked-draw
+  // fallback (most policies never take it); the fallback must match the
+  // distribution the rejection loop realizes. choose is const and may
+  // run on several threads, hence the once_flag.
+  mutable std::once_flag realized_once_;
+  mutable std::vector<double> realized_;
 };
 
 // ADAPT: weight_i = 1 / E[T_i] (zero for unstable nodes, whose expected

@@ -2,7 +2,9 @@
 // Section IV-C fidelity cap.
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <limits>
+#include <thread>
 
 #include "availability/interruption_model.h"
 #include "placement/adapt_policy.h"
@@ -134,6 +136,45 @@ TEST(AdaptPolicy, MaskedFallbackMatchesRealizedDistribution) {
     ones += choice == 1;
   }
   EXPECT_NEAR(static_cast<double>(ones) / kDraws, p_realized, 0.01);
+}
+
+TEST(AdaptPolicy, ConcurrentFirstFallbacksDrawAsOneThreadDoes) {
+  // The fallback distribution is computed on the first masked draw that
+  // needs it, and choose is const: four threads taking that first
+  // fallback at once on one fresh policy must each draw what a
+  // single-threaded run with the same seed draws.
+  const std::vector<double> weights = {2.6, 0.02, 1.4, 0.013, 2.0, 1.0};
+  const auto eligible =
+      cluster::NodeMask::from_vector({false, true, false, true, false, false});
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 2000;
+  const auto draws = [&](const PlacementPolicy& policy, int thread) {
+    Rng rng(100 + static_cast<std::uint64_t>(thread));
+    std::vector<std::size_t> out;
+    out.reserve(kDraws);
+    for (int i = 0; i < kDraws; ++i) {
+      out.push_back(policy.choose(eligible, rng).value());
+    }
+    return out;
+  };
+
+  const WeightedHashPolicy reference("test", weights, 7,
+                                     ChainWeighting::kPaper);
+  std::vector<std::vector<std::size_t>> expected;
+  for (int t = 0; t < kThreads; ++t) expected.push_back(draws(reference, t));
+
+  const WeightedHashPolicy shared("test", weights, 7, ChainWeighting::kPaper);
+  std::vector<std::vector<std::size_t>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = draws(shared, t);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(got, expected);
 }
 
 TEST(AdaptPolicy, AllEligibleZeroWeightFallsBackUniform) {
