@@ -261,6 +261,7 @@ ExperimentResult run_experiment(const cluster::Cluster& cluster,
                                 const ExperimentConfig& config) {
   Setup setup(cluster, config);
   sim::SimJobConfig& job = setup.job;
+  job.seed = config.seed;
 
   // For trace-replay clusters, fix the per-node replay offsets up front
   // so the load can be placed on the nodes actually up at job start
@@ -462,7 +463,6 @@ RepeatedResult run_repeated(const cluster::Cluster& cluster,
   results.reserve(static_cast<std::size_t>(runs));
   for (int r = 0; r < runs; ++r) {
     config.seed = config.seed * 6364136223846793005ull + 1442695040888963407ull;
-    config.job.seed = config.seed;
     results.push_back(run_experiment(cluster, config));
   }
   return merge_results(results);

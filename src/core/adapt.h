@@ -79,7 +79,9 @@ struct SetupConfig {
   // and truth_params and, unless the caller supplied them, the
   // calibrated scheduler's quotes and the churn defaults: the node ->
   // domain map, and a recovery / rebalance policy rebuilt as `policy`
-  // from the heartbeat estimates through one Eq. 5 memo.
+  // from the heartbeat estimates through one Eq. 5 memo. `job.seed` is
+  // not read: run_experiment seeds its simulation with `seed`, and
+  // run_job_stream derives each job's seed from it.
   sim::SimJobConfig job;
   std::uint64_t seed = 1;
   // Observability: the set-up owns one tracer, registry, profiler and

@@ -65,7 +65,6 @@ core::RepeatedResult ExperimentRunner::run_replications(
     job.config = config;
     job.config.seed =
         derive_run_seed(config.seed, static_cast<std::uint64_t>(r));
-    job.config.job.seed = job.config.seed;
     jobs.push_back(std::move(job));
   }
   std::vector<core::ExperimentResult> results = run_all(jobs);
@@ -93,7 +92,6 @@ std::vector<core::RepeatedResult> ExperimentRunner::run_sweep(
       job.config = cell.config;
       job.config.seed =
           derive_run_seed(cell.config.seed, static_cast<std::uint64_t>(r));
-      job.config.job.seed = job.config.seed;
       jobs.push_back(std::move(job));
     }
   }

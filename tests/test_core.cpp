@@ -51,6 +51,25 @@ TEST(RunExperiment, ProducesConsistentResult) {
   EXPECT_LE(result.placement_skew, 1.6);
 }
 
+TEST(RunExperiment, SeedsTheSimulationFromConfigSeed) {
+  // One seed drives a run: the load and the simulation both follow
+  // config.seed, and job.seed is not read.
+  cluster::EmulationConfig emu;
+  emu.node_count = 16;
+  const cluster::Cluster cl = cluster::emulated_cluster(emu);
+  ExperimentConfig config;
+  config.blocks = 160;
+  config.replication = 2;
+  config.job.gamma = 6.0;
+  config.seed = 21;
+  const ExperimentResult a = run_experiment(cl, config);
+  config.job.seed = 99;
+  const ExperimentResult b = run_experiment(cl, config);
+  EXPECT_EQ(a.job.elapsed, b.job.elapsed);
+  EXPECT_EQ(a.job.events_processed, b.job.events_processed);
+  EXPECT_EQ(a.job.attempts_started, b.job.attempts_started);
+}
+
 TEST(RunExperiment, Validation) {
   const cluster::Cluster cl =
       cluster::emulated_cluster(cluster::EmulationConfig{});

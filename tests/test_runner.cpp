@@ -125,7 +125,6 @@ TEST(ExperimentRunner, ReplicationsMatchManualSeedDerivation) {
     core::ExperimentConfig per_run = config;
     per_run.seed =
         runner::derive_run_seed(config.seed, static_cast<std::uint64_t>(r));
-    per_run.job.seed = per_run.seed;
     manual.push_back(core::run_experiment(cl, per_run));
   }
   const core::RepeatedResult expected = core::merge_results(manual);
