@@ -387,8 +387,10 @@ std::string timeseries_to_jsonl(const std::vector<RunObservations>& runs) {
              ", \"t\": " + json_number(ts.times[row]) + ", \"series\": {";
       for (std::size_t col = 0; col < ts.series.size(); ++col) {
         if (col > 0) out += ", ";
-        out += "\"" + common::json_escape(ts.series[col].first) +
-               "\": " + json_number(ts.series[col].second[row]);
+        out += '"';
+        out += common::json_escape(ts.series[col].first);
+        out += "\": ";
+        out += json_number(ts.series[col].second[row]);
       }
       out += "}}\n";
     }

@@ -15,8 +15,10 @@ void append_metrics(
   out += "{";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + json_escape(metrics[i].first) +
-           "\": " + json_number(metrics[i].second);
+    out += '"';
+    out += json_escape(metrics[i].first);
+    out += "\": ";
+    out += json_number(metrics[i].second);
   }
   out += "}";
 }

@@ -107,9 +107,13 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelPoint{0.09, 10.0, 8.0}),
     [](const auto& info) {
       const ModelPoint& p = info.param;
-      return "l" + std::to_string(static_cast<int>(p.lambda * 1000)) +
-             "_m" + std::to_string(static_cast<int>(p.mu)) + "_g" +
-             std::to_string(static_cast<int>(p.gamma));
+      std::string name = "l";
+      name += std::to_string(static_cast<int>(p.lambda * 1000));
+      name += "_m";
+      name += std::to_string(static_cast<int>(p.mu));
+      name += "_g";
+      name += std::to_string(static_cast<int>(p.gamma));
+      return name;
     });
 
 // The deterministic-service variant still satisfies Eq. 3 with mean mu,
