@@ -40,10 +40,9 @@ std::string describe_schedule(const sim::SimJobConfig::ChurnConfig& c) {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "heartbeat_loss_prob %.6f\ndeparture_rate %.6g\n"
-                "heartbeat_interval %.3f\nmiss_threshold %d\n"
-                "dead_timeout %.3f\n",
+                "heartbeat_interval %.3f\ndead_timeout %.3f\n",
                 c.heartbeat_loss_prob, c.departure_rate, c.heartbeat_interval,
-                c.heartbeat_miss_threshold, c.dead_timeout);
+                c.dead_timeout);
   out += buf;
   for (const auto& p : c.partitions) {
     std::snprintf(buf, sizeof(buf), "partition at %.3f heal %.3f nodes",

@@ -11,6 +11,7 @@
 #include "common/config.h"
 #include "common/table.h"
 #include "core/adapt.h"
+#include "runner/runner.h"
 #include "workload/terasort.h"
 
 int main(int argc, char** argv) {
@@ -33,6 +34,9 @@ int main(int argc, char** argv) {
                      static_cast<double>(cluster.block_size_bytes) /
                      static_cast<double>(common::kGiB);
 
+  // Each run's seed derives from --seed and the run's index; one worker
+  // keeps the example single-threaded.
+  runner::ExperimentRunner exec(1);
   common::Table table({"placement", "replicas", "storage", "elapsed (s)",
                        "locality"});
   struct Row {
@@ -47,7 +51,7 @@ int main(int argc, char** argv) {
     config.policy = row.policy;
     config.replication = row.replication;
     const core::RepeatedResult r =
-        core::run_repeated(cluster, config, runs);
+        exec.run_replications(cluster, config, runs);
     char storage[32];
     std::snprintf(storage, sizeof storage, "%.0f GiB",
                   gib * row.replication);

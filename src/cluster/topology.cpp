@@ -69,7 +69,6 @@ Cluster emulated_cluster(const EmulationConfig& config) {
   }
 
   Cluster cluster;
-  cluster.block_size_bytes = config.block_size_bytes;
   cluster.nodes.resize(config.node_count);
 
   const auto& groups = table2_groups();
@@ -81,7 +80,6 @@ Cluster emulated_cluster(const EmulationConfig& config) {
     NodeSpec& node = cluster.nodes[i];
     node.uplink_bps = config.bandwidth_bps;
     node.downlink_bps = config.bandwidth_bps;
-    node.slots = config.slots_per_node;
     if (i < interrupted) {
       // Interrupted nodes are "divided evenly into four groups".
       const AvailabilityGroup& g = groups[i % groups.size()];
@@ -90,15 +88,11 @@ Cluster emulated_cluster(const EmulationConfig& config) {
       node.arrival_clock = config.absolute_arrival_clock
                                ? ArrivalClock::kAbsoluteTime
                                : ArrivalClock::kUptime;
-      node.service_time = config.deterministic_service
-                              ? avail::deterministic(g.mean_service)
-                              : avail::exponential(g.mean_service);
+      node.service_time = avail::exponential(g.mean_service);
     } else {
       node.mode = AvailabilityMode::kAlwaysUp;
     }
   }
-  cluster.domains = config.domains;
-  assign_domains(cluster.nodes, cluster.domains);
   return cluster;
 }
 
@@ -121,7 +115,6 @@ Cluster trace_cluster(const trace::Trace& trace,
     NodeSpec& node = cluster.nodes[i];
     node.uplink_bps = config.bandwidth_bps;
     node.downlink_bps = config.bandwidth_bps;
-    node.slots = config.slots_per_node;
     if (intervals[i].empty()) {
       node.mode = AvailabilityMode::kAlwaysUp;
     } else {
@@ -148,7 +141,6 @@ Cluster model_cluster(const std::vector<avail::InterruptionParams>& params,
     NodeSpec& node = cluster.nodes[i];
     node.uplink_bps = config.bandwidth_bps;
     node.downlink_bps = config.bandwidth_bps;
-    node.slots = config.slots_per_node;
     if (params[i].lambda > 0 && params[i].mu > 0) {
       node.mode = AvailabilityMode::kModel;
       node.arrival_clock = ArrivalClock::kAbsoluteTime;

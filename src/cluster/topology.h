@@ -68,30 +68,25 @@ struct AvailabilityGroup {
 };
 const std::vector<AvailabilityGroup>& table2_groups();
 
+// Every emulated node has one map slot and the default 64 MiB blocks;
+// the cluster is flat. "Interruptions are injected based on the assumed
+// distributions": exponential inter-arrivals and exponential service
+// with each group's mean.
 struct EmulationConfig {
   std::size_t node_count = 128;           // Table 3 default
   double interrupted_ratio = 0.5;         // Table 3 default
   double bandwidth_bps = common::mbps(8); // Table 3 default
-  std::uint64_t block_size_bytes = 64 * common::kMiB;
-  // "Interruptions are injected based on the assumed distributions":
-  // exponential inter-arrivals; service distribution spec, with mean
-  // scaled per group ("exp" -> exponential(group mean)).
-  bool deterministic_service = false;
   // Uptime-clock injection by default (see ArrivalClock); flip for the
   // strict-M/G/1 ablation.
   bool absolute_arrival_clock = false;
-  int slots_per_node = 1;
-  // Optional fault-domain hierarchy (disabled = flat, the historical
-  // behavior).
-  DomainLayout domains;
 };
 
 Cluster emulated_cluster(const EmulationConfig& config);
 
+// Every node has one map slot.
 struct TraceClusterConfig {
   double bandwidth_bps = common::mbps(8);  // Table 4 default
   std::uint64_t block_size_bytes = 64 * common::kMiB;
-  int slots_per_node = 1;
   // Large-scale simulation default: flat per-transfer latency (the
   // paper's Figure 5 bandwidth sensitivity is consistent with no
   // per-uplink queueing).

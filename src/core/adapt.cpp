@@ -98,7 +98,7 @@ class Setup {
 
   hdfs::NameNode namenode;
   // The config every job starts from: the caller's template with the
-  // sinks, sample_dt, truth_params, quotes and churn defaults filled in.
+  // sinks, sample_dt, quotes and churn defaults filled in.
   sim::SimJobConfig job;
 
  private:
@@ -175,7 +175,19 @@ Setup::Setup(const cluster::Cluster& cluster, const SetupConfig& config)
   if (calibration_ || tracer_ || quote_scheduler) {
     quotes_ = avail::expected_task_times(params, config.job.gamma);
   }
-  if (calibration_) calibration_->set_predictions(quotes_);
+  if (calibration_) {
+    calibration_->set_predictions(quotes_);
+    // Drift is measured against the beliefs placement was priced with:
+    // after a regime shift the heartbeat estimates walk away from them
+    // and the CUSUM trips.
+    std::vector<double> lambda(params.size());
+    std::vector<double> mu(params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      lambda[i] = params[i].lambda;
+      mu[i] = params[i].mu;
+    }
+    calibration_->set_reference(std::move(lambda), std::move(mu));
+  }
   if (quote_scheduler) job.scheduler.node_quotes = quotes_;
 
   job.tracer = tracer_.get();
@@ -183,10 +195,6 @@ Setup::Setup(const cluster::Cluster& cluster, const SetupConfig& config)
   job.spans = spans_.get();
   job.calibration = calibration_.get();
   job.sample_dt = config.obs.sample_dt;
-  // Drift is measured against the beliefs placement was priced with:
-  // after a regime shift the heartbeat estimates walk away from them and
-  // the CUSUM trips.
-  if (calibration_) job.truth_params = params;
 
   // Churn defaults: the node -> fault-domain map the injector's
   // per-domain burst needs, and a recovery / rebalance destination
@@ -454,18 +462,6 @@ RepeatedResult merge_results(const std::vector<ExperimentResult>& results) {
   out.elapsed = common::summarize(std::move(elapsed));
   out.locality = common::summarize(std::move(locality));
   return out;
-}
-
-RepeatedResult run_repeated(const cluster::Cluster& cluster,
-                            ExperimentConfig config, int runs) {
-  if (runs < 1) throw std::invalid_argument("run_repeated: runs must be >= 1");
-  std::vector<ExperimentResult> results;
-  results.reserve(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) {
-    config.seed = config.seed * 6364136223846793005ull + 1442695040888963407ull;
-    results.push_back(run_experiment(cluster, config));
-  }
-  return merge_results(results);
 }
 
 }  // namespace adapt::core

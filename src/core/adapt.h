@@ -75,9 +75,9 @@ struct SetupConfig {
   // clusters (sites == 0), keeping their runs byte-identical.
   bool domain_anti_affinity = false;
   placement::ChainWeighting weighting = placement::ChainWeighting::kPaper;
-  // Template for every job. The set-up fills in the sinks, sample_dt
-  // and truth_params and, unless the caller supplied them, the
-  // calibrated scheduler's quotes and the churn defaults: the node ->
+  // Template for every job. The set-up fills in the sinks and
+  // sample_dt and, unless the caller supplied them, the calibrated
+  // scheduler's quotes and the churn defaults: the node ->
   // domain map, and a recovery / rebalance policy rebuilt as `policy`
   // from the heartbeat estimates through one Eq. 5 memo. `job.seed` is
   // not read: run_experiment seeds its simulation with `seed`, and
@@ -183,7 +183,7 @@ JobStreamResult run_job_stream(const cluster::Cluster& initial,
                                const cluster::Cluster& shifted,
                                const JobStreamConfig& config);
 
-// The paper averages ten runs per point; this mirrors that.
+// The paper averages ten runs per point; this is one point's aggregate.
 struct RepeatedResult {
   common::Summary elapsed;
   common::Summary locality;
@@ -218,12 +218,8 @@ struct RepeatedResult {
 };
 
 // Aggregate per-run results (in run order) into the paper's per-point
-// result. Throws std::invalid_argument on an empty list.
+// result. Throws std::invalid_argument on an empty list. Repeated runs
+// go through runner::ExperimentRunner, which derives each run's seed.
 RepeatedResult merge_results(const std::vector<ExperimentResult>& results);
-
-// `runs` sequential runs whose seeds follow an LCG chain from
-// config.seed, merged.
-RepeatedResult run_repeated(const cluster::Cluster& cluster,
-                            ExperimentConfig config, int runs);
 
 }  // namespace adapt::core

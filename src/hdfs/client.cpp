@@ -25,17 +25,8 @@ placement::PolicyPtr Client::policy_for(bool adapt_enabled) const {
   return adapt_enabled ? adapt_policy_ : default_policy_;
 }
 
-void Client::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics_) {
-    skipped_dead_ = metrics_->counter("hdfs.transfer_skipped_dead");
-  }
-}
-
 bool Client::node_live(cluster::NodeIndex node) const {
-  if (node == cluster::kOriginEndpoint) return true;
-  if (namenode_.is_dead(node)) return false;
-  return !liveness_ || liveness_(node);
+  return node == cluster::kOriginEndpoint || !namenode_.is_dead(node);
 }
 
 bool Client::charge_transfer(std::uint32_t src, std::uint32_t dst,
@@ -43,7 +34,6 @@ bool Client::charge_transfer(std::uint32_t src, std::uint32_t dst,
   if (!node_live(src) || !node_live(dst)) {
     // A departed endpoint cannot source or sink bytes; charging the
     // network here would model a full-speed transfer from a ghost.
-    if (metrics_) metrics_->add(skipped_dead_);
     return false;
   }
   if (summary) {
@@ -102,7 +92,7 @@ FileId Client::cp(const std::string& src, const std::string& dst,
 
   // Each destination replica pulls from a source replica of the same
   // block (round-robin across the source's *live* holders; when every
-  // holder is down the copy falls back to an origin fetch, mirroring
+  // holder is dead the copy falls back to an origin fetch, mirroring
   // the simulator's read path). Both references are taken after
   // create_file: growing the file table can reallocate it, so a
   // reference held across the call would dangle.
@@ -136,7 +126,7 @@ TransferSummary Client::adapt_rebalance(const std::string& name,
       namenode_.rebalance_file(id, adapt_policy_, rng, filter);
   // Data first, metadata second: each pending move only commits once
   // its transfer has been charged. The preferred source is the holder
-  // being vacated; if it is down another live holder serves, and with
+  // being vacated; if it is dead another live holder serves, and with
   // no live holder at all the origin re-seeds the destination.
   for (const ReplicaMove& move : moves) {
     cluster::NodeIndex src = move.from;

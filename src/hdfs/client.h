@@ -14,7 +14,6 @@
 // Section IV-C.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "cluster/network.h"
 #include "common/rng.h"
 #include "hdfs/namenode.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace adapt::hdfs {
@@ -74,24 +72,15 @@ class Client {
     quotes_ = std::move(quotes);
   }
 
-  // Environment-supplied liveness (e.g. "node currently up" in the
-  // simulator). Composed with the NameNode dead registry: a node is a
-  // usable endpoint only if it is not dead AND the liveness callback
-  // (when set) approves it. Null = dead registry only.
-  using LivenessFn = std::function<bool(cluster::NodeIndex)>;
-  void set_liveness(LivenessFn liveness) { liveness_ = std::move(liveness); }
-
-  // Register the hdfs.transfer_skipped_dead counter (null = off).
-  void set_metrics(obs::MetricsRegistry* metrics);
-
  private:
   placement::PolicyPtr policy_for(bool adapt_enabled) const;
+  // Not in the NameNode's dead registry; the origin endpoint is always
+  // live. Callers narrow placement further with the NodeFilter argument.
   bool node_live(cluster::NodeIndex node) const;
 
   // Charge one block transfer to the network model. Returns false —
-  // charging nothing — when either endpoint is dead or down (the
-  // bytes could not actually have flowed); the origin endpoint is
-  // always live.
+  // charging nothing — when either endpoint is dead (the bytes could not
+  // actually have flowed).
   bool charge_transfer(std::uint32_t src, std::uint32_t dst,
                        common::Seconds now, TransferSummary* summary);
 
@@ -102,9 +91,6 @@ class Client {
   std::uint64_t block_size_;
   obs::EventTracer* tracer_ = nullptr;
   std::vector<double> quotes_;
-  LivenessFn liveness_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::MetricsRegistry::Id skipped_dead_ = 0;
 };
 
 }  // namespace adapt::hdfs

@@ -6,6 +6,12 @@
 #include "common/jsonfmt.h"
 
 namespace adapt::obs {
+namespace {
+
+constexpr std::size_t kPerNodeSketchCapacity = 64;
+constexpr double kLogRatioEps = 1e-6;  // log-ratio regularizer
+
+}  // namespace
 
 void CalibrationSnapshot::append_json(std::string& out) const {
   using common::json_number;
@@ -29,9 +35,7 @@ void CalibrationSnapshot::append_json(std::string& out) const {
 }
 
 CalibrationTracker::CalibrationTracker(const CalibrationOptions& options)
-    : options_(options),
-      realized_(options.sketch_capacity),
-      error_(options.sketch_capacity) {}
+    : options_(options) {}
 
 void CalibrationTracker::set_predictions(
     std::vector<double> expected_task_time) {
@@ -43,7 +47,7 @@ void CalibrationTracker::record_completion(std::uint32_t node,
   realized_.observe(realized);
   if (options_.per_node) {
     while (node_realized_.size() <= node) {
-      node_realized_.emplace_back(options_.per_node_capacity);
+      node_realized_.emplace_back(kPerNodeSketchCapacity);
     }
     node_realized_[node].observe(realized);
   }
@@ -60,29 +64,33 @@ void CalibrationTracker::record_completion(std::uint32_t node,
   }
 }
 
+void CalibrationTracker::set_reference(std::vector<double> lambda,
+                                       std::vector<double> mu) {
+  reference_lambda_ = std::move(lambda);
+  reference_mu_ = std::move(mu);
+}
+
 std::vector<DriftAlarm> CalibrationTracker::cusum_step(
     common::Seconds now, const std::vector<double>& lambda_hat,
     const std::vector<double>& mu_hat,
-    const std::vector<double>& lambda_truth,
-    const std::vector<double>& mu_truth,
     const std::vector<common::Seconds>& truth_changed_at) {
   std::vector<DriftAlarm> raised;
   const std::size_t n =
-      std::min({lambda_hat.size(), mu_hat.size(), lambda_truth.size(),
-                mu_truth.size(), truth_changed_at.size()});
+      std::min({lambda_hat.size(), mu_hat.size(), reference_lambda_.size(),
+                reference_mu_.size(), truth_changed_at.size()});
   if (cusum_g_.size() < n) {
     cusum_g_.resize(n, 0.0);
     alarmed_.resize(n, false);
   }
   if (now < options_.warmup) return raised;
 
-  const double eps = options_.eps;
+  const double eps = kLogRatioEps;
   for (std::size_t i = 0; i < n; ++i) {
     if (alarmed_[i]) continue;
-    const double x_mu =
-        std::max(0.0, std::log((mu_hat[i] + eps) / (mu_truth[i] + eps)));
+    const double x_mu = std::max(
+        0.0, std::log((mu_hat[i] + eps) / (reference_mu_[i] + eps)));
     const double x_lambda = std::max(
-        0.0, std::log((lambda_hat[i] + eps) / (lambda_truth[i] + eps)));
+        0.0, std::log((lambda_hat[i] + eps) / (reference_lambda_[i] + eps)));
     double& g = cusum_g_[i];
     g = std::max(0.0, g + x_mu + x_lambda - options_.cusum_slack);
     if (g > options_.cusum_threshold) {
@@ -117,8 +125,8 @@ CalibrationSnapshot CalibrationTracker::take_snapshot() {
   }
   snap.alarms = std::move(alarms_);
 
-  realized_ = QuantileSketch(options_.sketch_capacity);
-  error_ = QuantileSketch(options_.sketch_capacity);
+  realized_ = QuantileSketch();
+  error_ = QuantileSketch();
   pairs_ = 0;
   predicted_sum_ = 0.0;
   realized_sum_ = 0.0;

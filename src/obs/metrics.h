@@ -125,8 +125,4 @@ class MetricsRegistry {
   std::vector<RawSample> samples_;
 };
 
-// Merge per-run snapshots in run order (deterministic for any thread
-// count, since the caller collected them in job-index order).
-MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& runs);
-
 }  // namespace adapt::obs

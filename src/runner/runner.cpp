@@ -54,22 +54,8 @@ void drain_observations(std::vector<core::ExperimentResult>& results,
 core::RepeatedResult ExperimentRunner::run_replications(
     const cluster::Cluster& cluster, core::ExperimentConfig config,
     int runs, std::vector<obs::RunObservations>* obs) {
-  if (runs < 1) {
-    throw std::invalid_argument("run_replications: runs must be >= 1");
-  }
-  std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) {
-    Job job;
-    job.cluster = &cluster;
-    job.config = config;
-    job.config.seed =
-        derive_run_seed(config.seed, static_cast<std::uint64_t>(r));
-    jobs.push_back(std::move(job));
-  }
-  std::vector<core::ExperimentResult> results = run_all(jobs);
-  drain_observations(results, obs);
-  return core::merge_results(results);
+  return run_sweep({{borrow(cluster), std::move(config), runs}}, obs)
+      .front();
 }
 
 std::vector<core::RepeatedResult> ExperimentRunner::run_sweep(

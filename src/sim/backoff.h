@@ -22,14 +22,6 @@ struct BackoffParams {
   common::Seconds max = 600.0;
 };
 
-// True when the parameters produce sane (positive, finite, bounded)
-// delays; drivers reject their config otherwise.
-inline bool backoff_params_valid(const BackoffParams& p) {
-  return p.base >= 0 && std::isfinite(p.base) && p.factor >= 1.0 &&
-         std::isfinite(p.factor) && p.jitter >= 0 && p.jitter <= 1.0 &&
-         p.max > 0 && std::isfinite(p.max);
-}
-
 // Delay before retry number retries_done + 1. Consumes exactly one
 // uniform draw when jitter > 0, and matches the historical
 // clamp-before-jitter computation bit for bit whenever the jittered

@@ -14,14 +14,32 @@
 namespace adapt::sim {
 namespace {
 
+// Crash-stop churn underneath the gray layer. InterruptionParams::mu is
+// a mean outage length, so these outages last 1/120 s on average.
+constexpr double kInterruptionLambda = 1.0 / 900.0;  // per second
+constexpr common::Seconds kInterruptionMu = 1.0 / 120.0;
+constexpr double kDepartureRate = 2e-5;
+
+// Detection knobs: a short dead timeout makes false positives easy.
+constexpr common::Seconds kHeartbeatInterval = 3.0;
+constexpr common::Seconds kDeadTimeout = 15.0;
+
+// Gray-failure intensity ceilings; each run samples its schedule from
+// the seed inside these bounds. Every schedule runs the scanner, and
+// safe mode whenever detection is message-level.
+constexpr double kMaxHeartbeatLoss = 0.5;
+constexpr std::size_t kMaxPartitions = 2;
+constexpr std::size_t kMaxStragglers = 3;
+constexpr std::size_t kMaxCorruptions = 4;
+
 cluster::Cluster build_cluster(const ChaosConfig& config) {
   cluster::Cluster c;
   c.block_size_bytes = 4 * common::kMiB;
   c.nodes.resize(config.nodes);
   for (cluster::NodeSpec& node : c.nodes) {
     node.mode = cluster::AvailabilityMode::kModel;
-    node.params.lambda = config.interruption_lambda;
-    node.params.mu = config.interruption_mu;
+    node.params.lambda = kInterruptionLambda;
+    node.params.mu = kInterruptionMu;
     node.uplink_bps = common::mbps(16);
     node.downlink_bps = common::mbps(16);
   }
@@ -35,18 +53,13 @@ SimJobConfig::ChurnConfig build_schedule(const ChaosConfig& config) {
   common::Rng rng = common::Rng(config.seed).fork(0xc405);
   SimJobConfig::ChurnConfig churn;
   churn.enabled = true;
-  churn.departure_rate = config.departure_rate;
-  churn.heartbeat_interval = config.heartbeat_interval;
-  churn.heartbeat_miss_threshold = config.heartbeat_miss_threshold;
-  churn.dead_timeout = config.dead_timeout;
+  churn.departure_rate = kDepartureRate;
+  churn.heartbeat_interval = kHeartbeatInterval;
+  churn.dead_timeout = kDeadTimeout;
 
-  churn.heartbeat_loss_prob = rng.uniform() * config.max_heartbeat_loss;
+  churn.heartbeat_loss_prob = rng.uniform() * kMaxHeartbeatLoss;
 
-  const std::size_t partitions =
-      config.max_partitions > 0
-          ? rng.uniform_index(
-                static_cast<std::size_t>(config.max_partitions) + 1)
-          : 0;
+  const std::size_t partitions = rng.uniform_index(kMaxPartitions + 1);
   for (std::size_t p = 0; p < partitions; ++p) {
     SimJobConfig::ChurnConfig::Partition part;
     part.at = 5.0 + 60.0 * rng.uniform();
@@ -63,11 +76,7 @@ SimJobConfig::ChurnConfig build_schedule(const ChaosConfig& config) {
     churn.partitions.push_back(std::move(part));
   }
 
-  const std::size_t stragglers =
-      config.max_stragglers > 0
-          ? rng.uniform_index(
-                static_cast<std::size_t>(config.max_stragglers) + 1)
-          : 0;
+  const std::size_t stragglers = rng.uniform_index(kMaxStragglers + 1);
   for (std::size_t s = 0; s < stragglers; ++s) {
     SimJobConfig::ChurnConfig::Straggler st;
     st.node = static_cast<std::uint32_t>(rng.uniform_index(config.nodes));
@@ -77,11 +86,7 @@ SimJobConfig::ChurnConfig build_schedule(const ChaosConfig& config) {
     churn.stragglers.push_back(st);
   }
 
-  const std::size_t corruptions =
-      config.max_corruptions > 0
-          ? 1 + rng.uniform_index(
-                    static_cast<std::size_t>(config.max_corruptions))
-          : 0;
+  const std::size_t corruptions = 1 + rng.uniform_index(kMaxCorruptions);
   for (std::size_t c = 0; c < corruptions; ++c) {
     SimJobConfig::ChurnConfig::Corruption corr;
     corr.at = 3.0 + 60.0 * rng.uniform();
@@ -90,13 +95,11 @@ SimJobConfig::ChurnConfig build_schedule(const ChaosConfig& config) {
     churn.corruptions.push_back(corr);
   }
 
-  if (config.scanner) {
-    churn.scan_interval = 20.0;
-    churn.scan_blocks_per_sweep = 8;
-  }
+  churn.scan_interval = 20.0;
+  churn.scan_blocks_per_sweep = 8;
   // Safe mode gates message-level detection only; the sampled loss can
   // be 0 and the partition count can draw 0.
-  if (config.safe_mode && churn.message_level()) {
+  if (churn.message_level()) {
     churn.safe_mode_threshold = 0.25;
     churn.safe_mode_hold = 20.0;
   }

@@ -33,25 +33,8 @@ struct ChaosConfig {
   int replication = 2;
   double gamma = 12.0;
   std::uint64_t seed = 1;
-
-  // Crash-stop churn underneath the gray layer.
-  double interruption_lambda = 1.0 / 900.0;  // per second
-  double interruption_mu = 1.0 / 120.0;      // repairs per second
-  double departure_rate = 2e-5;
-
-  // Detection knobs — a short dead timeout makes false positives easy.
-  common::Seconds heartbeat_interval = 3.0;
-  int heartbeat_miss_threshold = 2;
-  common::Seconds dead_timeout = 15.0;
-
-  // Gray-failure intensity ceilings; each run samples its schedule from
-  // the seed inside these bounds.
-  double max_heartbeat_loss = 0.5;
-  int max_partitions = 2;
-  int max_stragglers = 3;
-  int max_corruptions = 4;
-  bool scanner = true;
-  bool safe_mode = true;
+  // The churn rates, detection knobs and gray-failure ceilings the
+  // schedule is sampled within are constants in sim/chaos.cpp.
 
   // Re-run the same schedule and byte-compare the two traces.
   bool check_determinism = true;

@@ -122,11 +122,12 @@ MapReduceSimulation::MapReduceSimulation(const cluster::Cluster& cluster,
   }
 
   if (config_.rebalance.enabled &&
-      (config_.calibration == nullptr || config_.sample_dt <= 0.0 ||
-       config_.truth_params.empty())) {
+      (config_.calibration == nullptr ||
+       !config_.calibration->has_reference() || config_.sample_dt <= 0.0)) {
     throw std::invalid_argument(
-        "simulation: rebalance requires calibration, sample_dt > 0 and "
-        "truth_params (the loop is driven by CUSUM drift alarms)");
+        "simulation: rebalance requires a calibration tracker with a CUSUM "
+        "reference and sample_dt > 0 (the loop is driven by CUSUM drift "
+        "alarms)");
   }
   if (config_.churn.enabled) init_churn();
 }
@@ -139,8 +140,8 @@ void MapReduceSimulation::init_churn() {
   const SimJobConfig::ChurnConfig& churn = config_.churn;
   collector_.emplace(node_state_.size(),
                      cluster::HeartbeatCollector::Config{
-                         churn.heartbeat_interval,
-                         churn.heartbeat_miss_threshold, churn.dead_timeout});
+                         .interval = churn.heartbeat_interval,
+                         .dead_timeout = churn.dead_timeout});
   dead_check_.resize(node_state_.size());
   task_lost_.assign(board_.task_count(), false);
 
@@ -890,25 +891,20 @@ void MapReduceSimulation::on_sample() {
     }
   }
   if (config_.calibration != nullptr && collector_ &&
-      !config_.truth_params.empty()) {
+      config_.calibration->has_reference()) {
     const std::vector<avail::InterruptionParams> est =
         collector_->estimates(now);
-    const std::size_t n = std::min(est.size(), config_.truth_params.size());
+    const std::size_t n = est.size();
     std::vector<double> lambda_hat(n);
     std::vector<double> mu_hat(n);
-    std::vector<double> lambda_truth(n);
-    std::vector<double> mu_truth(n);
-    std::vector<common::Seconds> changed(n, -1.0);
+    std::vector<common::Seconds> changed(n);
     for (std::size_t i = 0; i < n; ++i) {
       lambda_hat[i] = est[i].lambda;
       mu_hat[i] = est[i].mu;
-      lambda_truth[i] = config_.truth_params[i].lambda;
-      mu_truth[i] = config_.truth_params[i].mu;
       changed[i] = injector_.departed_at(static_cast<cluster::NodeIndex>(i));
     }
     const std::vector<obs::DriftAlarm> alarms =
-        config_.calibration->cusum_step(now, lambda_hat, mu_hat,
-                                        lambda_truth, mu_truth, changed);
+        config_.calibration->cusum_step(now, lambda_hat, mu_hat, changed);
     for (const obs::DriftAlarm& alarm : alarms) {
       obs::TraceRecord r;
       r.type = obs::EventType::kPredictorDrift;

@@ -25,8 +25,8 @@ MigrationDriver::MigrationDriver(EventQueue& queue, hdfs::NameNode& namenode,
                                  std::uint64_t block_bytes, Config config,
                                  common::Rng rng, const cluster::NodeMask& up)
     : ReplicaMover(queue, namenode, network, up, block_bytes,
-                   config.max_concurrent, config.max_retries, config.backoff,
-                   rng, kVocabulary),
+                   config.max_concurrent, config.max_retries, rng,
+                   kVocabulary),
       budget_bytes_per_s_(config.budget_bytes_per_s) {
   if (budget_bytes_per_s_ < 0 || !std::isfinite(budget_bytes_per_s_)) {
     throw std::invalid_argument("migration: bad budget_bytes_per_s");

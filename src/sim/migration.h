@@ -31,8 +31,6 @@ class MigrationDriver : public ReplicaMover {
     // previous start. 0 = unlimited.
     double budget_bytes_per_s = 0.0;
     int max_retries = 4;
-    // Retry delays: base * factor^n, jittered, capped (sim/backoff.h).
-    BackoffParams backoff;
   };
 
   // What the driver counts beyond ReplicaMover::Stats (whose `landed`

@@ -4,7 +4,14 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/backoff.h"
+
 namespace adapt::sim {
+namespace {
+
+constexpr BackoffParams kBackoff{};
+
+}  // namespace
 
 std::optional<cluster::NodeIndex> pick_transfer_source(
     const std::vector<cluster::NodeIndex>& holders,
@@ -40,8 +47,8 @@ ReplicaMover::ReplicaMover(EventQueue& queue, hdfs::NameNode& namenode,
                            cluster::Network& network,
                            const cluster::NodeMask& up,
                            std::uint64_t block_bytes, int max_concurrent,
-                           int max_retries, BackoffParams backoff,
-                           common::Rng rng, const Vocabulary& vocabulary)
+                           int max_retries, common::Rng rng,
+                           const Vocabulary& vocabulary)
     : queue_(queue),
       namenode_(namenode),
       network_(network),
@@ -50,14 +57,13 @@ ReplicaMover::ReplicaMover(EventQueue& queue, hdfs::NameNode& namenode,
       rng_(rng),
       max_concurrent_(max_concurrent),
       max_retries_(max_retries),
-      backoff_(backoff),
       vocabulary_(vocabulary) {
   const std::string name = vocabulary_.name;
   if (max_concurrent_ < 1) {
     throw std::invalid_argument(name + ": max_concurrent must be >= 1");
   }
-  if (max_retries_ < 0 || !backoff_params_valid(backoff_)) {
-    throw std::invalid_argument(name + ": bad backoff config");
+  if (max_retries_ < 0) {
+    throw std::invalid_argument(name + ": max_retries must be >= 0");
   }
 }
 
@@ -112,7 +118,7 @@ void ReplicaMover::pump() {
 
 void ReplicaMover::defer(std::size_t index) {
   Item& item = pending_[index];
-  item.not_before = queue_.now() + std::max(backoff_.base, 1.0);
+  item.not_before = queue_.now() + std::max(kBackoff.base, 1.0);
   queue_.schedule(item.not_before, [this] { pump(); });
 }
 
@@ -201,7 +207,7 @@ void ReplicaMover::schedule_retry(Item item, obs::TraceReason reason) {
   }
   ++stats_.retries;
   count(ctr_retries_);
-  const double delay = backoff_delay(backoff_, item.retries, rng_);
+  const double delay = backoff_delay(kBackoff, item.retries, rng_);
   const common::Seconds next = queue_.now() + delay;
   trace({.type = vocabulary_.retry,
          .reason = reason,

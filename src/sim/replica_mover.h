@@ -19,7 +19,6 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "placement/policy.h"
-#include "sim/backoff.h"
 #include "sim/event_queue.h"
 
 namespace adapt::sim {
@@ -44,8 +43,9 @@ std::optional<cluster::NodeIndex> draw_replica_target(
 // from a live holder to a chosen node over the bounded-bandwidth
 // network, under a concurrent-transfer cap. A transfer whose source or
 // destination goes down (or whose destination is written off) aborts
-// and retries with exponential backoff + jitter; after max_retries the
-// copy is given up.
+// and retries with exponential backoff + jitter (sim/backoff.h's defaults:
+// 5 s doubling, ±20%, capped at 600 s); after max_retries the copy is
+// given up.
 //
 // The engine owns the copies waiting to start, the in-flight table
 // keyed by network ticket, the failure sweeps, retry and give-up, and
@@ -120,7 +120,7 @@ class ReplicaMover {
   ReplicaMover(EventQueue& queue, hdfs::NameNode& namenode,
                cluster::Network& network, const cluster::NodeMask& up,
                std::uint64_t block_bytes, int max_concurrent,
-               int max_retries, BackoffParams backoff, common::Rng rng,
+               int max_retries, common::Rng rng,
                const Vocabulary& vocabulary);
 
   // Start waiting copies while below the concurrency cap (below_cap);
@@ -176,7 +176,6 @@ class ReplicaMover {
 
   int max_concurrent_;
   int max_retries_;
-  BackoffParams backoff_;
   Vocabulary vocabulary_;
   obs::EventTracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -24,8 +24,8 @@ ReReplicator::ReReplicator(EventQueue& queue, hdfs::NameNode& namenode,
                            std::uint64_t block_bytes, Config config,
                            common::Rng rng, const cluster::NodeMask& up)
     : ReplicaMover(queue, namenode, network, up, block_bytes,
-                   config.max_concurrent, config.max_retries, config.backoff,
-                   rng, kVocabulary),
+                   config.max_concurrent, config.max_retries, rng,
+                   kVocabulary),
       enabled_(config.enabled),
       tracked_(namenode.block_count(), false) {}
 

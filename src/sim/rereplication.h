@@ -30,8 +30,6 @@ class ReReplicator : public ReplicaMover {
     bool enabled = true;
     int max_concurrent = 4;  // transfer cap (recovery vs job bandwidth)
     int max_retries = 6;
-    // Retry delays: base * factor^n, jittered, capped (sim/backoff.h).
-    BackoffParams backoff;
   };
 
   using ReplicatedFn = std::function<void(hdfs::BlockId, cluster::NodeIndex)>;

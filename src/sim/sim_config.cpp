@@ -57,9 +57,6 @@ void SimJobConfig::validate() const {
       throw ConfigError("churn.heartbeat_interval",
                         "must be positive and finite");
     }
-    if (churn.heartbeat_miss_threshold < 1) {
-      throw ConfigError("churn.heartbeat_miss_threshold", "must be >= 1");
-    }
     if (!(churn.dead_timeout > 0) || !std::isfinite(churn.dead_timeout)) {
       throw ConfigError("churn.dead_timeout",
                         "must be > 0 (departed nodes must eventually be "

@@ -111,8 +111,8 @@ struct SimJobConfig {
     std::vector<common::Seconds> join_at;
     // Dead declaration: heartbeat cadence and how long a node must stay
     // believed-down past detection before its replicas are written off.
+    // Detection takes two missed beats (HeartbeatCollector's default).
     common::Seconds heartbeat_interval = 3.0;
-    int heartbeat_miss_threshold = 2;
     common::Seconds dead_timeout = 60.0;
     // -- gray failures ----------------------------------------------
     // Anything below switches the simulation from transition-level
@@ -225,9 +225,6 @@ struct SimJobConfig {
   // > 0 (and metrics set): sample the metric time-series every this many
   // simulated seconds; the calibration CUSUM steps on the same cadence.
   common::Seconds sample_dt = 0.0;
-  // Ground truth the calibration drift detector compares estimates to
-  // (per-node injector parameters); empty = skip CUSUM stepping.
-  std::vector<avail::InterruptionParams> truth_params;
 
   // Throws ConfigError on the first out-of-range field. The simulation
   // constructor calls this, so hand-filled aggregates are always checked.

@@ -1,22 +1,11 @@
 // Retry-backoff clamp regression tests: exponential growth must never
 // escape max_backoff — not through std::pow saturation, not through the
-// jitter multiplier — and both retry drivers must reject degenerate
-// backoff configs at construction.
+// jitter multiplier.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
-#include <optional>
-#include <stdexcept>
 
-#include "cluster/network.h"
-#include "cluster/node_mask.h"
-#include "hdfs/namenode.h"
-#include "placement/random_policy.h"
 #include "sim/backoff.h"
-#include "sim/event_queue.h"
-#include "sim/migration.h"
-#include "sim/rereplication.h"
 
 namespace {
 
@@ -24,7 +13,6 @@ using namespace adapt;
 using adapt::common::Rng;
 using adapt::sim::BackoffParams;
 using adapt::sim::backoff_delay;
-using adapt::sim::backoff_params_valid;
 
 TEST(Backoff, GrowsExponentiallyUnderTheCap) {
   BackoffParams p;
@@ -61,58 +49,6 @@ TEST(Backoff, JitteredDelayNeverExceedsMax) {
       EXPECT_LE(delay, p.max);
     }
   }
-}
-
-TEST(Backoff, ParamValidation) {
-  EXPECT_TRUE(backoff_params_valid({}));
-  BackoffParams p;
-  p.max = 0.0;
-  EXPECT_FALSE(backoff_params_valid(p));
-  p.max = -5.0;
-  EXPECT_FALSE(backoff_params_valid(p));
-  p.max = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(backoff_params_valid(p));
-  p = {};
-  p.factor = 0.5;  // shrinking "backoff" is a config bug
-  EXPECT_FALSE(backoff_params_valid(p));
-  p = {};
-  p.base = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(backoff_params_valid(p));
-  p = {};
-  p.jitter = 1.5;
-  EXPECT_FALSE(backoff_params_valid(p));
-}
-
-cluster::Network make_net(std::size_t nodes) {
-  cluster::Network::Config config;
-  config.uplink_bps.assign(nodes, 1024.0 * 1024.0 * 8);
-  config.downlink_bps.assign(nodes, 1024.0 * 1024.0 * 8);
-  return cluster::Network(config);
-}
-
-// Both retry drivers reject a degenerate backoff.max at construction
-// instead of scheduling unbounded (or infinite) retry delays.
-TEST(Backoff, DriversRejectBadMaxBackoff) {
-  sim::EventQueue queue;
-  hdfs::NameNode nn(2);
-  cluster::Network net = make_net(2);
-  const cluster::NodeMask up(2, /*value=*/true);
-
-  sim::ReReplicator::Config rconfig;
-  rconfig.backoff.max = 0.0;
-  EXPECT_THROW(sim::ReReplicator(queue, nn, net, 1024, rconfig, Rng(1), up),
-               std::invalid_argument);
-  rconfig.backoff.max = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(sim::ReReplicator(queue, nn, net, 1024, rconfig, Rng(1), up),
-               std::invalid_argument);
-
-  sim::MigrationDriver::Config mconfig;
-  mconfig.backoff.max = 0.0;
-  EXPECT_THROW(sim::MigrationDriver(queue, nn, net, 1024, mconfig, Rng(1), up),
-               std::invalid_argument);
-  mconfig.backoff.max = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(sim::MigrationDriver(queue, nn, net, 1024, mconfig, Rng(1), up),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // CalibrationTracker: prediction pairing, the non-finite-quote guard,
-// per-node sketches, CUSUM drift detection (warmup, latency, false
-// positives, one-alarm-per-node) and snapshot draining.
+// per-node sketches, CUSUM drift detection against a pinned reference
+// (warmup, latency, false positives, one-alarm-per-node) and snapshot
+// draining.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -74,10 +75,26 @@ TEST(Calibration, CusumSilentDuringWarmup) {
   const std::vector<double> truth = {0.001};
   const std::vector<double> drifted = {10.0};
   const std::vector<double> changed = {-1.0};
-  EXPECT_TRUE(
-      tracker.cusum_step(50.0, drifted, drifted, truth, truth, changed)
-          .empty());
+  tracker.set_reference(truth, truth);
+  EXPECT_TRUE(tracker.cusum_step(50.0, drifted, drifted, changed).empty());
   EXPECT_TRUE(tracker.alarms().empty());
+}
+
+TEST(Calibration, CusumScoresNothingWithoutAReference) {
+  CalibrationOptions options = enabled_options();
+  options.warmup = 0.0;
+  options.cusum_threshold = 1.0;
+  CalibrationTracker tracker(options);
+  EXPECT_FALSE(tracker.has_reference());
+  const std::vector<double> drifted = {1e6};
+  const std::vector<double> changed = {-1.0};
+  for (double t = 10.0; t <= 100.0; t += 10.0) {
+    EXPECT_TRUE(tracker.cusum_step(t, drifted, drifted, changed).empty());
+  }
+  // The same drift against a pinned reference alarms on the first step.
+  tracker.set_reference({0.001}, {30.0});
+  EXPECT_TRUE(tracker.has_reference());
+  EXPECT_EQ(tracker.cusum_step(110.0, drifted, drifted, changed).size(), 1u);
 }
 
 TEST(Calibration, CusumDetectsDriftWithLatency) {
@@ -91,12 +108,12 @@ TEST(Calibration, CusumDetectsDriftWithLatency) {
   // Node 0 departed at t = 100: its estimated outage time grows while
   // node 1 stays on truth.
   const std::vector<double> changed = {100.0, -1.0};
+  tracker.set_reference(lambda_truth, mu_truth);
   std::vector<DriftAlarm> raised;
   double alarm_t = -1.0;
   for (double t = 105.0; t <= 300.0 && raised.empty(); t += 5.0) {
     const std::vector<double> mu_hat = {30.0 * (1.0 + (t - 100.0)), 30.0};
-    raised = tracker.cusum_step(t, lambda_truth, mu_hat, lambda_truth,
-                                mu_truth, changed);
+    raised = tracker.cusum_step(t, lambda_truth, mu_hat, changed);
     alarm_t = t;
   }
   ASSERT_EQ(raised.size(), 1u);
@@ -106,10 +123,8 @@ TEST(Calibration, CusumDetectsDriftWithLatency) {
 
   // One alarm per node: continuing the drift never re-fires.
   const std::vector<double> mu_hat = {1e6, 30.0};
-  EXPECT_TRUE(tracker
-                  .cusum_step(500.0, lambda_truth, mu_hat, lambda_truth,
-                              mu_truth, changed)
-                  .empty());
+  EXPECT_TRUE(
+      tracker.cusum_step(500.0, lambda_truth, mu_hat, changed).empty());
   EXPECT_EQ(tracker.alarms().size(), 1u);
 }
 
@@ -123,9 +138,9 @@ TEST(Calibration, CusumUnderEstimationNeverFires) {
   // scoring must not accumulate.
   const std::vector<double> cold = {0.0};
   const std::vector<double> changed = {-1.0};
+  tracker.set_reference(truth, mu_truth);
   for (double t = 10.0; t < 1000.0; t += 10.0) {
-    EXPECT_TRUE(
-        tracker.cusum_step(t, cold, cold, truth, mu_truth, changed).empty());
+    EXPECT_TRUE(tracker.cusum_step(t, cold, cold, changed).empty());
   }
 }
 
@@ -138,10 +153,10 @@ TEST(Calibration, CusumFalsePositiveHasNegativeLatency) {
   const std::vector<double> mu_truth = {30.0};
   const std::vector<double> mu_hat = {3000.0};
   const std::vector<double> never_changed = {-1.0};
+  tracker.set_reference(truth, mu_truth);
   std::vector<DriftAlarm> raised;
   for (double t = 10.0; t <= 100.0 && raised.empty(); t += 10.0) {
-    raised = tracker.cusum_step(t, truth, mu_hat, truth, mu_truth,
-                                never_changed);
+    raised = tracker.cusum_step(t, truth, mu_hat, never_changed);
   }
   ASSERT_EQ(raised.size(), 1u);
   EXPECT_DOUBLE_EQ(raised[0].latency, -1.0);  // no truth change to blame
@@ -154,7 +169,8 @@ TEST(Calibration, SnapshotDrainsAndResets) {
   CalibrationTracker tracker(options);
   tracker.set_predictions({10.0});
   tracker.record_completion(0, 12.0);
-  tracker.cusum_step(50.0, {1.0}, {1000.0}, {0.001}, {30.0}, {10.0});
+  tracker.set_reference({0.001}, {30.0});
+  tracker.cusum_step(50.0, {1.0}, {1000.0}, {10.0});
   const CalibrationSnapshot first = tracker.take_snapshot();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first.pairs, 1u);

@@ -118,7 +118,6 @@ TEST(Chaos, FalsePositiveDeadDeclarationRevivesCleanly) {
   config.tracer = &tracer;
   config.churn.enabled = true;
   config.churn.heartbeat_interval = 1.0;
-  config.churn.heartbeat_miss_threshold = 2;
   config.churn.dead_timeout = 3.0;
   SimJobConfig::ChurnConfig::Partition part;
   part.at = 4.5;
@@ -167,7 +166,6 @@ TEST(Chaos, CorruptReadRecoversFromSurvivingReplica) {
   config.tracer = &tracer;
   config.churn.enabled = true;
   config.churn.heartbeat_interval = 1.0;
-  config.churn.heartbeat_miss_threshold = 2;
   config.churn.corruptions.push_back({2.0, 2, 0});
   config.churn.corruptions.push_back({2.5, 3, 0});
 
@@ -216,7 +214,6 @@ TEST(Chaos, SafeModeDefersMassWriteoffDuringPartition) {
   config.tracer = &tracer;
   config.churn.enabled = true;
   config.churn.heartbeat_interval = 1.0;
-  config.churn.heartbeat_miss_threshold = 2;
   config.churn.dead_timeout = 3.0;
   config.churn.safe_mode_threshold = 0.25;
   config.churn.safe_mode_hold = 30.0;

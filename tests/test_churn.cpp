@@ -175,7 +175,6 @@ TEST(Churn, DeadNodeReplicasAreReReplicated) {
   config.allow_origin_fetch = false;
   config.churn.enabled = true;
   config.churn.heartbeat_interval = 3.0;
-  config.churn.heartbeat_miss_threshold = 2;
   config.churn.dead_timeout = 20.0;
   MapReduceSimulation sim(cluster, nn, file, config);
   const JobResult r = sim.run();
@@ -216,7 +215,6 @@ TEST(Churn, PipelineOffAndOriginOffReportsDataLoss) {
   config.scheduler.speculation = false;
   config.churn.enabled = true;
   config.churn.heartbeat_interval = 1.0;
-  config.churn.heartbeat_miss_threshold = 2;
   config.churn.dead_timeout = 5.0;
   config.churn.rereplication.enabled = false;
   MapReduceSimulation sim(cluster, nn, file, config);
@@ -251,7 +249,6 @@ TEST(Churn, OriginFetchRescuesWrittenOffBlock) {
   config.allow_origin_fetch = true;
   config.churn.enabled = true;
   config.churn.heartbeat_interval = 1.0;
-  config.churn.heartbeat_miss_threshold = 2;
   config.churn.dead_timeout = 5.0;
   config.churn.rereplication.enabled = false;
   MapReduceSimulation sim(cluster, nn, file, config);
@@ -280,7 +277,6 @@ TEST(Churn, DeadNodeThatReturnsIsResurrected) {
   config.allow_origin_fetch = false;
   config.churn.enabled = true;
   config.churn.heartbeat_interval = 3.0;
-  config.churn.heartbeat_miss_threshold = 2;
   config.churn.dead_timeout = 30.0;  // declared at ~46, back at 120
   MapReduceSimulation sim(cluster, nn, file, config);
   const JobResult r = sim.run();
@@ -306,7 +302,6 @@ TEST(Churn, AllNodesDepartingReportsNoLiveNodes) {
   config.churn.burst_at = 5.0;
   config.churn.burst_fraction = 1.0;
   config.churn.heartbeat_interval = 1.0;
-  config.churn.heartbeat_miss_threshold = 2;
   config.churn.dead_timeout = 5.0;
   MapReduceSimulation sim(cluster, nn, file, config);
   const JobResult r = sim.run();
@@ -340,7 +335,6 @@ TEST(Churn, HazardDeparturesBelowCapacityCompleteWithoutLoss) {
     config.churn.enabled = true;
     config.churn.departure_rate = 1.0 / 600.0;  // per-node hazard
     config.churn.heartbeat_interval = 2.0;
-    config.churn.heartbeat_miss_threshold = 2;
     config.churn.dead_timeout = 10.0;
     MapReduceSimulation sim(cluster, nn, file, config);
     const JobResult r = sim.run();
@@ -378,7 +372,6 @@ TEST(Churn, SameSeedReproducesResultExactly) {
     config.churn.burst_at = 35.0;
     config.churn.burst_fraction = 0.25;
     config.churn.heartbeat_interval = 2.0;
-    config.churn.heartbeat_miss_threshold = 2;
     config.churn.dead_timeout = 15.0;
     MapReduceSimulation sim(cluster, nn, file, config);
     return sim.run();
@@ -415,7 +408,6 @@ TEST(Churn, LateJoinerEntersCluster) {
   config.churn.enabled = true;
   config.churn.join_at = {0.0, 0.0, 25.0};  // node 2 joins at t=25
   config.churn.heartbeat_interval = 2.0;
-  config.churn.heartbeat_miss_threshold = 2;
   config.churn.dead_timeout = 100.0;
   MapReduceSimulation sim(cluster, nn, file, config);
   const JobResult r = sim.run();

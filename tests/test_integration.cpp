@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/adapt.h"
+#include "runner/runner.h"
 #include "workload/terasort.h"
 
 namespace {
@@ -34,19 +35,20 @@ const Results& emulation_results() {
     // tasks, so per-run variance is large; 16 replications keep the
     // headline orderings stable instead of hinging on a lucky draw.
     constexpr int kRuns = 16;
+    runner::ExperimentRunner exec(1);
     Results out;
     config.replication = 1;
     config.policy = PolicyKind::kRandom;
-    out.random_r1 = run_repeated(cl, config, kRuns);
+    out.random_r1 = exec.run_replications(cl, config, kRuns);
     config.policy = PolicyKind::kAdapt;
-    out.adapt_r1 = run_repeated(cl, config, kRuns);
+    out.adapt_r1 = exec.run_replications(cl, config, kRuns);
     config.policy = PolicyKind::kNaive;
-    out.naive_r1 = run_repeated(cl, config, kRuns);
+    out.naive_r1 = exec.run_replications(cl, config, kRuns);
     config.replication = 2;
     config.policy = PolicyKind::kRandom;
-    out.random_r2 = run_repeated(cl, config, kRuns);
+    out.random_r2 = exec.run_replications(cl, config, kRuns);
     config.policy = PolicyKind::kAdapt;
-    out.adapt_r2 = run_repeated(cl, config, kRuns);
+    out.adapt_r2 = exec.run_replications(cl, config, kRuns);
     return out;
   }();
   return results;
@@ -102,14 +104,15 @@ TEST(Integration, HigherBandwidthShrinksAdaptAdvantage) {
   config.job.gamma = w.gamma();
   config.seed = 77;
   config.replication = 1;
+  runner::ExperimentRunner exec(1);
 
   auto advantage = [&](double bps) {
     emu.bandwidth_bps = bps;
     const cluster::Cluster cl = cluster::emulated_cluster(emu);
     config.policy = PolicyKind::kRandom;
-    const double random = run_repeated(cl, config, 8).elapsed.mean;
+    const double random = exec.run_replications(cl, config, 8).elapsed.mean;
     config.policy = PolicyKind::kAdapt;
-    const double adapt_time = run_repeated(cl, config, 8).elapsed.mean;
+    const double adapt_time = exec.run_replications(cl, config, 8).elapsed.mean;
     return random / adapt_time;
   };
   const double at_8 = advantage(common::mbps(8));

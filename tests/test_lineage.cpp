@@ -257,7 +257,6 @@ core::ExperimentConfig burst_config(const cluster::Cluster& cl,
   config.job.churn.burst_at = 5.0;
   config.job.churn.burst_fraction = 0.6;
   config.job.churn.heartbeat_interval = 3.0;
-  config.job.churn.heartbeat_miss_threshold = 2;
   config.job.churn.dead_timeout = 10.0;
   config.job.churn.rereplication.enabled = rereplication;
   config.obs.lineage = true;

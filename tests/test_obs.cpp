@@ -79,8 +79,8 @@ TEST(Metrics, MergeSumsCountersMaxesGauges) {
   b.add(b.counter("runs"), 1.0);
   b.add(b.counter("only_b"), 4.0);
   b.set(b.gauge("elapsed"), 25.0);
-  obs::MetricsSnapshot merged =
-      obs::merge_snapshots({a.snapshot(), b.snapshot()});
+  obs::MetricsSnapshot merged = a.snapshot();
+  merged.merge(b.snapshot());
   ASSERT_EQ(merged.counters.size(), 2u);
   EXPECT_EQ(merged.counters[0].first, "only_b");
   EXPECT_DOUBLE_EQ(merged.counters[0].second, 4.0);
@@ -495,14 +495,14 @@ TEST(Obs, TraceExportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(obs::to_jsonl(obs_serial), obs::to_jsonl(obs_pooled));
 
   // The merged metrics aggregate is order-insensitive too.
-  std::vector<obs::MetricsSnapshot> ms;
-  std::vector<obs::MetricsSnapshot> mp;
-  for (const auto& run : obs_serial) ms.push_back(run.metrics);
-  for (const auto& run : obs_pooled) mp.push_back(run.metrics);
+  obs::MetricsSnapshot ms;
+  obs::MetricsSnapshot mp;
+  for (const auto& run : obs_serial) ms.merge(run.metrics);
+  for (const auto& run : obs_pooled) mp.merge(run.metrics);
   std::string js;
   std::string jp;
-  obs::merge_snapshots(ms).append_json(js, "");
-  obs::merge_snapshots(mp).append_json(jp, "");
+  ms.append_json(js, "");
+  mp.append_json(jp, "");
   EXPECT_EQ(js, jp);
 }
 

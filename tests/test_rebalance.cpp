@@ -9,7 +9,6 @@
 #include "common/units.h"
 #include "hdfs/client.h"
 #include "hdfs/namenode.h"
-#include "obs/metrics.h"
 #include "placement/adapt_policy.h"
 #include "placement/random_policy.h"
 
@@ -266,22 +265,29 @@ TEST_F(ClientLivenessFixture, CpSkipsDeadSourceHolders) {
   const cluster::NodeIndex victim = namenode_.block(
       namenode_.file(src_id).blocks[0]).replicas[0];
   namenode_.mark_node_dead(victim);
-  obs::MetricsRegistry metrics;
-  client_.set_metrics(&metrics);
   TransferSummary summary;
   const FileId dst = client_.cp("src", "dst", false, rng_, 0.0, &summary,
                                 [&](cluster::NodeIndex n) {
                                   return n != victim;
                                 });
   EXPECT_EQ(namenode_.file(dst).blocks.size(), 12u);
-  // Every charged transfer came from a live endpoint, so none were
-  // skipped and the skip counter stayed at zero.
-  const obs::MetricsSnapshot snap = metrics.snapshot();
-  for (const auto& counter : snap.counters) {
-    if (counter.first == "hdfs.transfer_skipped_dead") {
-      EXPECT_EQ(counter.second, 0.0);
+  // Every destination replica was fed round-robin from the block's live
+  // holders (or already held the block), so no transfer was refused for
+  // a dead endpoint: each copy with distinct endpoints was charged.
+  std::uint64_t expected = 0;
+  for (std::size_t b = 0; b < 12; ++b) {
+    std::vector<cluster::NodeIndex> live;
+    for (const cluster::NodeIndex holder :
+         namenode_.block(namenode_.file(src_id).blocks[b]).replicas) {
+      if (holder != victim) live.push_back(holder);
+    }
+    ASSERT_FALSE(live.empty());
+    const auto& to = namenode_.block(namenode_.file(dst).blocks[b]).replicas;
+    for (std::size_t r = 0; r < to.size(); ++r) {
+      if (live[r % live.size()] != to[r]) ++expected;
     }
   }
+  EXPECT_EQ(summary.blocks_moved, expected);
 }
 
 TEST_F(ClientLivenessFixture, CpFallsBackToOriginWhenAllHoldersDown) {
@@ -289,10 +295,9 @@ TEST_F(ClientLivenessFixture, CpFallsBackToOriginWhenAllHoldersDown) {
   const FileId src_id = namenode_.file_id("src");
   const cluster::NodeIndex holder =
       namenode_.block(namenode_.file(src_id).blocks[0]).replicas[0];
-  // The block's only holder is down but the destinations stay live, so
+  // The block's only holder is dead but the destinations stay live, so
   // the copy streams from the origin instead of a dead node.
-  client_.set_liveness(
-      [holder](cluster::NodeIndex n) { return n != holder; });
+  namenode_.mark_node_dead(holder);
   TransferSummary summary;
   const FileId dst = client_.cp("src", "dst", false, rng_, 0.0, &summary,
                                 [holder](cluster::NodeIndex n) {
@@ -300,30 +305,6 @@ TEST_F(ClientLivenessFixture, CpFallsBackToOriginWhenAllHoldersDown) {
                                 });
   EXPECT_EQ(namenode_.file(dst).blocks.size(), 1u);
   EXPECT_EQ(summary.blocks_moved, 1u);
-}
-
-TEST_F(ClientLivenessFixture, ChargeTransferSkipsDeadEndpointAndCounts) {
-  client_.copy_from_local("f", 10, 1, false, rng_);
-  obs::MetricsRegistry metrics;
-  client_.set_metrics(&metrics);
-  // A liveness callback that bans node 0 forces every move whose
-  // endpoint is node 0 through the skip path.
-  client_.set_liveness([](cluster::NodeIndex n) { return n != 0; });
-  const TransferSummary summary = client_.adapt_rebalance("f", rng_);
-  double skipped = 0.0;
-  for (const auto& counter : metrics.snapshot().counters) {
-    if (counter.first == "hdfs.transfer_skipped_dead") {
-      skipped = counter.second;
-    }
-  }
-  // Whether any transfer touched node 0 depends on the draw; what must
-  // hold: skipped transfers charged nothing, committed ones did, and
-  // metadata stayed consistent (total replicas conserved).
-  EXPECT_EQ(namenode_.datanodes().total_stored(), 10u);
-  EXPECT_TRUE(namenode_.pending_moves().empty());
-  EXPECT_EQ(summary.blocks_moved * (64 * common::kMiB),
-            summary.bytes_moved);
-  (void)skipped;
 }
 
 TEST_F(ClientLivenessFixture, AdaptRebalanceCommitsOnlyChargedMoves) {

@@ -56,7 +56,6 @@ TEST(SimConfigTest, ChurnChecksAreGatedOnEnabled) {
   config.churn.departure_rate = -5.0;
   config.churn.burst_fraction = 1.5;
   config.churn.heartbeat_interval = 0.0;
-  config.churn.heartbeat_miss_threshold = 0;
   config.churn.dead_timeout = 0.0;
   // Inert while churn is off: nothing reads these fields.
   EXPECT_NO_THROW(config.validate());
@@ -70,9 +69,6 @@ TEST(SimConfigTest, ChurnChecksAreGatedOnEnabled) {
   EXPECT_EQ(thrown_field([&] { config.validate(); }),
             "churn.heartbeat_interval");
   config.churn.heartbeat_interval = 3.0;
-  EXPECT_EQ(thrown_field([&] { config.validate(); }),
-            "churn.heartbeat_miss_threshold");
-  config.churn.heartbeat_miss_threshold = 2;
   EXPECT_EQ(thrown_field([&] { config.validate(); }), "churn.dead_timeout");
 }
 

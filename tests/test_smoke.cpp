@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/adapt.h"
+#include "runner/runner.h"
 #include "workload/terasort.h"
 
 namespace {
@@ -22,12 +23,15 @@ TEST(Smoke, AdaptBeatsRandomOnHeterogeneousCluster) {
   config.replication = 1;
   config.job.gamma = w.gamma();
   config.seed = 7;
+  runner::ExperimentRunner exec(1);
 
   config.policy = core::PolicyKind::kAdapt;
-  const core::RepeatedResult adapt_result = core::run_repeated(cl, config, 3);
+  const core::RepeatedResult adapt_result =
+      exec.run_replications(cl, config, 3);
 
   config.policy = core::PolicyKind::kRandom;
-  const core::RepeatedResult random_result = core::run_repeated(cl, config, 3);
+  const core::RepeatedResult random_result =
+      exec.run_replications(cl, config, 3);
 
   EXPECT_LT(adapt_result.elapsed.mean, random_result.elapsed.mean);
   EXPECT_GT(adapt_result.locality.mean, random_result.locality.mean);
