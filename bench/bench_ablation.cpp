@@ -129,22 +129,17 @@ int main(int argc, char** argv) {
 
   {
     // Trace-population cluster; vary how costly a stranded block is.
-    trace::GeneratorConfig gc;
-    gc.node_count = 256;
-    gc.horizon = 14.0 * 24 * 3600;
-    gc.seed = seed;
-    const auto gen = trace::generate_seti_like_trace(gc);
-    std::vector<avail::InterruptionParams> params;
-    for (const auto& h : gen.truth) params.push_back(h.params());
-    const cluster::Cluster sim_cl =
-        cluster::model_cluster(params, cluster::TraceClusterConfig{});
+    const std::size_t sim_nodes = 256;
+    const cluster::Cluster sim_cl = cluster::model_cluster(
+        trace::seti_like_population(sim_nodes, seed),
+        cluster::TraceClusterConfig{});
     const workload::Workload sw = workload::simulation_workload();
 
     common::Table table({"reissue delay", "random r1 ovh", "adapt r1 ovh",
                          "adapt gain"});
     for (const double delay : {60.0, 600.0, 1800.0}) {
       core::ExperimentConfig config;
-      config.blocks = sw.blocks_for(gc.node_count);
+      config.blocks = sw.blocks_for(sim_nodes);
       config.job.gamma = sw.gamma();
       config.job.origin_fetch_delay = delay;
       config.steady_state_start = true;

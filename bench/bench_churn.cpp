@@ -40,21 +40,6 @@ namespace {
 
 using namespace adapt;
 
-std::vector<avail::InterruptionParams> draw_population(std::size_t nodes,
-                                                       std::uint64_t seed) {
-  trace::GeneratorConfig config;
-  config.node_count = nodes;
-  config.horizon = 14.0 * 24 * 3600;
-  config.seed = seed;
-  const trace::GeneratedTrace gen = trace::generate_seti_like_trace(config);
-  std::vector<avail::InterruptionParams> params;
-  params.reserve(gen.truth.size());
-  for (const trace::HostTruth& host : gen.truth) {
-    params.push_back(host.params());
-  }
-  return params;
-}
-
 struct ChurnSeries {
   core::PolicyKind policy;
   int replication;
@@ -83,7 +68,7 @@ void run_sweep(runner::ExperimentRunner& exec, runner::Report& report,
                int runs, std::uint64_t seed, double dead_timeout,
                int rr_concurrency,
                cluster::DomainLayout layout = {}) {
-  const auto params = draw_population(nodes, seed);
+  const auto params = trace::seti_like_population(nodes, seed);
   cluster::TraceClusterConfig tc;
   tc.domains = layout;
   const auto cl = std::make_shared<const cluster::Cluster>(
@@ -162,7 +147,7 @@ void run_gray_sweep(runner::ExperimentRunner& exec, runner::Report& report,
                     bench::ObsSink& sink, const std::vector<GrayPoint>& points,
                     const std::vector<ChurnSeries>& series, std::size_t nodes,
                     int runs, std::uint64_t seed, int rr_concurrency) {
-  const auto params = draw_population(nodes, seed);
+  const auto params = trace::seti_like_population(nodes, seed);
   const auto cl = std::make_shared<const cluster::Cluster>(
       cluster::model_cluster(params, {}));
   workload::Workload w = workload::simulation_workload();

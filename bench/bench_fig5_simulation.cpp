@@ -27,21 +27,6 @@ namespace {
 
 using namespace adapt;
 
-std::vector<avail::InterruptionParams> draw_population(std::size_t nodes,
-                                                       std::uint64_t seed) {
-  trace::GeneratorConfig config;
-  config.node_count = nodes;
-  config.horizon = 14.0 * 24 * 3600;
-  config.seed = seed;
-  const trace::GeneratedTrace gen = trace::generate_seti_like_trace(config);
-  std::vector<avail::InterruptionParams> params;
-  params.reserve(gen.truth.size());
-  for (const trace::HostTruth& host : gen.truth) {
-    params.push_back(host.params());
-  }
-  return params;
-}
-
 struct Point {
   std::string label;
   std::size_t nodes;
@@ -59,7 +44,7 @@ void run_sweep(runner::ExperimentRunner& exec, runner::Report& report,
   std::vector<runner::ExperimentRunner::SweepCell> cells;
   cells.reserve(points.size() * series.size());
   for (const Point& point : points) {
-    const auto params = draw_population(point.nodes, seed);
+    const auto params = trace::seti_like_population(point.nodes, seed);
     cluster::TraceClusterConfig tc;
     tc.bandwidth_bps = point.bandwidth_bps;
     tc.block_size_bytes = point.block_size;

@@ -35,21 +35,6 @@ namespace {
 
 using namespace adapt;
 
-std::vector<avail::InterruptionParams> draw_population(std::size_t nodes,
-                                                       std::uint64_t seed) {
-  trace::GeneratorConfig config;
-  config.node_count = nodes;
-  config.horizon = 14.0 * 24 * 3600;
-  config.seed = seed;
-  const trace::GeneratedTrace gen = trace::generate_seti_like_trace(config);
-  std::vector<avail::InterruptionParams> params;
-  params.reserve(gen.truth.size());
-  for (const trace::HostTruth& host : gen.truth) {
-    params.push_back(host.params());
-  }
-  return params;
-}
-
 // The regime shift that hurts a stale placement most: the *best* half of
 // the pool (lowest utilization, where ADAPT concentrated the data) turns
 // flaky — interruptions arrive `lambda_factor` times as often and last
@@ -117,7 +102,7 @@ int main(int argc, char** argv) {
           " nodes, " + std::to_string(jobs) + " jobs/stream, " +
           std::to_string(runs) + " stream(s) per point.");
 
-  const auto initial_params = draw_population(nodes, seed);
+  const auto initial_params = trace::seti_like_population(nodes, seed);
   const auto shifted_params =
       shift_population(initial_params, shift_lambda, shift_mu);
   cluster::TraceClusterConfig tc;

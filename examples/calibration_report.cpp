@@ -36,19 +36,8 @@ int main(int argc, char** argv) {
 
   // Host population with heterogeneous (lambda, mu) profiles — the
   // setting where per-node calibration is interesting.
-  trace::GeneratorConfig gen_config;
-  gen_config.node_count = nodes;
-  gen_config.horizon = 14.0 * 24 * 3600;
-  gen_config.seed = seed;
-  const trace::GeneratedTrace gen =
-      trace::generate_seti_like_trace(gen_config);
-  std::vector<avail::InterruptionParams> params;
-  params.reserve(gen.truth.size());
-  for (const trace::HostTruth& host : gen.truth) {
-    params.push_back(host.params());
-  }
-  const cluster::Cluster cluster =
-      cluster::model_cluster(params, cluster::TraceClusterConfig{});
+  const cluster::Cluster cluster = cluster::model_cluster(
+      trace::seti_like_population(nodes, seed), cluster::TraceClusterConfig{});
   const workload::Workload workload = workload::simulation_workload();
 
   core::ExperimentConfig config;

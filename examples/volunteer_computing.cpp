@@ -36,16 +36,11 @@ int main(int argc, char** argv) {
               common::format_seconds(stats.mtbi_per_host.mean).c_str(),
               common::format_seconds(stats.duration_per_host.mean).c_str());
 
-  // 2. The cluster: each host an M/G/1 interruption process with its
-  //    measured parameters; hosts start in steady state, so the load
-  //    only lands on hosts that are actually online.
-  std::vector<avail::InterruptionParams> params;
-  params.reserve(gen.truth.size());
-  for (const trace::HostTruth& host : gen.truth) {
-    params.push_back(host.params());
-  }
-  const cluster::Cluster cluster =
-      cluster::model_cluster(params, cluster::TraceClusterConfig{});
+  // 2. The cluster: each host an M/G/1 interruption process with the
+  //    parameters its history was drawn from; hosts start in steady
+  //    state, so the load only lands on hosts that are actually online.
+  const cluster::Cluster cluster = cluster::model_cluster(
+      trace::seti_like_population(hosts, seed), cluster::TraceClusterConfig{});
 
   // 3. The job: 100 x 64 MiB blocks per host, 12 s per block (Table 4).
   const workload::Workload workload = workload::simulation_workload();

@@ -120,4 +120,20 @@ GeneratedTrace generate_seti_like_trace(const GeneratorConfig& config) {
   return out;
 }
 
+std::vector<avail::InterruptionParams> seti_like_population(
+    std::size_t node_count, std::uint64_t seed) {
+  // Each host draws its parameters from its own fork before its events,
+  // so they do not depend on the horizon; one second keeps the events
+  // that are dropped here few.
+  GeneratorConfig config;
+  config.node_count = node_count;
+  config.horizon = 1.0;
+  config.seed = seed;
+  const GeneratedTrace gen = generate_seti_like_trace(config);
+  std::vector<avail::InterruptionParams> params;
+  params.reserve(gen.truth.size());
+  for (const HostTruth& host : gen.truth) params.push_back(host.params());
+  return params;
+}
+
 }  // namespace adapt::trace

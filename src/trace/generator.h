@@ -98,6 +98,12 @@ struct GeneratedTrace {
 
 GeneratedTrace generate_seti_like_trace(const GeneratorConfig& config);
 
+// Per-host (lambda, mu) of a SETI@home-like population: the HostTruth
+// params generate_seti_like_trace draws for `node_count` hosts from
+// `seed`, with every other setting at its default.
+std::vector<avail::InterruptionParams> seti_like_population(
+    std::size_t node_count, std::uint64_t seed);
+
 // Calibration helpers, exposed for tests.
 // Lognormal (m, s) for per-host MTBI such that pooled event-weighted
 // gaps hit (mean, cov).

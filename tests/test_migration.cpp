@@ -253,20 +253,6 @@ TEST(MigrationDriver, CancelAllReleasesQueuedAndInFlightReservations) {
 // Closed loop at the job-stream level
 // ---------------------------------------------------------------------
 
-std::vector<avail::InterruptionParams> seti_params(std::size_t nodes,
-                                                   std::uint64_t seed) {
-  trace::GeneratorConfig config;
-  config.node_count = nodes;
-  config.horizon = 7.0 * 24 * 3600;
-  config.seed = seed;
-  const trace::GeneratedTrace gen = trace::generate_seti_like_trace(config);
-  std::vector<avail::InterruptionParams> params;
-  for (const trace::HostTruth& host : gen.truth) {
-    params.push_back(host.params());
-  }
-  return params;
-}
-
 core::JobStreamConfig stream_config(bool loop) {
   core::JobStreamConfig config;
   config.policy = core::PolicyKind::kAdapt;
@@ -292,7 +278,7 @@ struct StreamWorld {
 
   StreamWorld() {
     const std::size_t nodes = 24;
-    const auto initial_params = seti_params(nodes, 3);
+    const auto initial_params = trace::seti_like_population(nodes, 3);
     auto shifted_params = initial_params;
     // The *reliable* half turns flaky — exactly where ADAPT put the
     // data, so the stale placement degrades relative to the median.
