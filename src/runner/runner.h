@@ -42,8 +42,9 @@ class ExperimentRunner {
   // Lowest-level fan-out: run every job, results in job order.
   std::vector<core::ExperimentResult> run_all(const std::vector<Job>& jobs);
 
-  // `runs` replications of one experiment point. Per-run seeds derive
-  // from config.seed; the aggregate is identical for any thread count.
+  // `runs` replications of one experiment point: one run_sweep cell
+  // over the borrowed cluster. Per-run seeds derive from config.seed;
+  // the aggregate is identical for any thread count.
   // When `obs` is non-null and config.obs is enabled, each run's
   // observations are appended to it in run order (the same order for any
   // thread count, so trace exports stay byte-identical).
