@@ -10,23 +10,10 @@ NameNode::NameNode(std::size_t node_count)
 
 NameNode::NameNode(std::size_t node_count, Options options)
     : options_(options),
-      nodes_(node_count),
-      dead_(node_count, false),
-      placeable_(node_count),
+      placeable_(node_count, true),
       written_off_(node_count) {
-  for (std::size_t i = 0; i < node_count; ++i) {
-    sync_placeable(static_cast<cluster::NodeIndex>(i));
-  }
-}
-
-NameNode::NameNode(std::vector<std::uint64_t> capacity_blocks, Options options)
-    : options_(options),
-      nodes_(std::move(capacity_blocks)),
-      dead_(nodes_.node_count(), false),
-      placeable_(nodes_.node_count()),
-      written_off_(nodes_.node_count()) {
-  for (std::size_t i = 0; i < nodes_.node_count(); ++i) {
-    sync_placeable(static_cast<cluster::NodeIndex>(i));
+  if (node_count == 0) {
+    throw std::invalid_argument("namenode: need at least one node");
   }
 }
 
@@ -38,10 +25,6 @@ void NameNode::set_fault_domains(
   }
   domains_ = std::move(domains);
   anti_affine_ = anti_affine && domains_ && !domains_->empty();
-}
-
-void NameNode::sync_placeable(cluster::NodeIndex node) {
-  placeable_.assign(node, nodes_.has_space(node) && !dead_[node]);
 }
 
 std::optional<cluster::NodeMask> NameNode::materialize_filter(
@@ -129,9 +112,9 @@ FileId NameNode::create_file(const std::string& name,
 
   // The nodes any draw of this call may pick: placeable, passing the
   // filter and under the cap. Single-bit flips keep the mask and its
-  // popcount current as nodes fill up or reach the cap, and each draw
-  // hides the block's holders in place and restores them afterwards,
-  // so a draw copies no mask.
+  // popcount current as nodes reach the cap, and each draw hides the
+  // block's holders in place and restores them afterwards, so a draw
+  // copies no mask.
   cluster::NodeMask candidates = placeable_;
   if (filter_ptr) candidates &= *filter_ptr;
   std::size_t candidate_count = candidates.count();
@@ -176,25 +159,11 @@ FileId NameNode::create_file(const std::string& name,
         key, ordinal, eligibility(info, filter_ptr, std::nullopt), rng);
   };
 
-  // Everything placed so far must be unwound if a later replica cannot
-  // be placed: a failed create must leave no trace in the block map or
-  // the per-node usage counters.
-  const std::size_t first_block = blocks_.size();
-  auto rollback = [&](const BlockInfo& partial) {
-    for (const cluster::NodeIndex n : partial.replicas) {
-      nodes_.remove_replica(n);
-      sync_placeable(n);
-    }
-    for (std::size_t b = first_block; b < blocks_.size(); ++b) {
-      for (const cluster::NodeIndex n : blocks_[b].replicas) {
-        nodes_.remove_replica(n);
-        sync_placeable(n);
-        index_remove(b, n);
-      }
-    }
-    blocks_.resize(first_block);
-  };
-
+  // Nothing in this call changes placeable_ or the filter, and a draw
+  // finds a node whenever the block has fewer holders than there are
+  // placeable nodes passing the filter (the cap overflows; anti-affinity
+  // never empties a non-empty mask). So a replica that cannot be placed
+  // fails the first block, before anything is registered.
   for (std::uint32_t b = 0; b < num_blocks; ++b) {
     const BlockId block_id = blocks_.size();
     BlockInfo info;
@@ -205,17 +174,12 @@ FileId NameNode::create_file(const std::string& name,
       const std::optional<cluster::NodeIndex> node =
           draw(info, block_id, static_cast<std::uint32_t>(r));
       if (!node) {
-        rollback(info);
         throw std::runtime_error(
             "create_file: no eligible node for a replica of block " +
             std::to_string(block_id));
       }
       info.replicas.push_back(*node);
-      nodes_.add_replica(*node);
-      sync_placeable(*node);
-      const bool capped_out = limit != 0 && ++placed[*node] >= limit;
-      if ((capped_out || !placeable_.test(*node)) &&
-          candidates.test(*node)) {
+      if (limit != 0 && ++placed[*node] >= limit && candidates.test(*node)) {
         candidates.reset(*node);
         --candidate_count;
       }
@@ -251,8 +215,8 @@ std::vector<ReplicaMove> NameNode::rebalance_file(
   for (const BlockId block_id : info.blocks) {
     // Redraw each replica; a draw landing on the current holder keeps
     // the replica in place (no transfer). Draws that move become
-    // pending: space reserved at the target, metadata untouched until
-    // the caller commits the transfer.
+    // pending: metadata untouched until the caller commits the
+    // transfer.
     const std::vector<cluster::NodeIndex> old_replicas =
         blocks_.at(block_id).replicas;
     for (std::size_t r = 0; r < old_replicas.size(); ++r) {
@@ -305,12 +269,7 @@ void NameNode::begin_move(BlockId block, cluster::NodeIndex from,
       throw std::logic_error("begin_move: destination already pending");
     }
   }
-  if (dead_.at(to)) throw std::logic_error("begin_move: destination dead");
-  if (!nodes_.has_space(to)) {
-    throw std::logic_error("begin_move: destination full");
-  }
-  nodes_.add_replica(to);  // reserve space for the inbound bytes
-  sync_placeable(to);
+  if (is_dead(to)) throw std::logic_error("begin_move: destination dead");
   pending_moves_.push_back({block, from, to});
 }
 
@@ -325,14 +284,10 @@ void NameNode::commit_move(BlockId block, cluster::NodeIndex from,
   if (blocks_.at(block).hosted_on(to)) {
     // Another pipeline (re-replication) landed its own copy at `to`
     // while this move was on the wire. The replica is already real;
-    // release the reservation and keep the source copy in place.
+    // keep the source copy in place.
     ++stats_.duplicate_replica_inserts;
-    nodes_.remove_replica(to);
-    sync_placeable(to);
     return;
   }
-  // The reservation made by begin_move becomes the real replica; no
-  // second usage bump.
   blocks_.at(block).replicas.push_back(to);
   index_add(block, to);
   // Drop the source copy. If a node death already wrote it off
@@ -350,8 +305,6 @@ void NameNode::abort_move(BlockId block, cluster::NodeIndex from,
   }
   pending_moves_.erase(pending_moves_.begin() +
                        static_cast<std::ptrdiff_t>(idx));
-  nodes_.remove_replica(to);  // release the reservation
-  sync_placeable(to);
 }
 
 bool NameNode::has_file(const std::string& name) const {
@@ -390,8 +343,6 @@ void NameNode::add_replica(BlockId block, cluster::NodeIndex node) {
     return;
   }
   info.replicas.push_back(node);
-  nodes_.add_replica(node);
-  sync_placeable(node);
   index_add(block, node);
 }
 
@@ -408,8 +359,6 @@ void NameNode::unlink_replica(BlockId block, cluster::NodeIndex node) {
     throw std::logic_error("remove_replica: node does not hold block");
   }
   info.replicas.erase(it);
-  nodes_.remove_replica(node);
-  sync_placeable(node);
 }
 
 void NameNode::index_add(BlockId block, cluster::NodeIndex node) {
@@ -419,7 +368,7 @@ void NameNode::index_add(BlockId block, cluster::NodeIndex node) {
 void NameNode::index_remove(BlockId block, cluster::NodeIndex node) {
   if (held_.empty()) return;
   std::vector<std::uint32_t>& list = held_[node];
-  // The latest additions sit at the back, where a rollback finds them.
+  // The latest additions sit at the back.
   const auto it =
       std::find(list.rbegin(), list.rend(), static_cast<std::uint32_t>(block));
   if (it == list.rend()) {
@@ -434,7 +383,7 @@ std::vector<BlockId> NameNode::mark_node_dead(cluster::NodeIndex node) {
     throw std::out_of_range("mark_node_dead: bad node");
   }
   std::vector<BlockId> affected;
-  if (dead_[node]) return affected;
+  if (is_dead(node)) return affected;
   if (held_.empty()) {
     // First death: build the per-node block lists, each reserved to its
     // exact size.
@@ -450,15 +399,13 @@ std::vector<BlockId> NameNode::mark_node_dead(cluster::NodeIndex node) {
       }
     }
   }
-  dead_[node] = true;
   placeable_.reset(node);
-  // Pending moves *into* the dead node can never complete: release
-  // their reservations here so the space accounting stays exact even
-  // if the migration driver learns of the death later. Moves *out*
-  // survive — they re-source from a live holder.
+  // Pending moves *into* the dead node can never complete: drop them
+  // here so the ledger stays exact even if the migration driver learns
+  // of the death later. Moves *out* survive — they re-source from a
+  // live holder.
   for (std::size_t i = pending_moves_.size(); i-- > 0;) {
     if (pending_moves_[i].to == node) {
-      nodes_.remove_replica(node);
       pending_moves_.erase(pending_moves_.begin() +
                            static_cast<std::ptrdiff_t>(i));
     }
@@ -479,9 +426,8 @@ NameNode::ReviveReport NameNode::revive_node(cluster::NodeIndex node) {
     throw std::out_of_range("revive_node: bad node");
   }
   ReviveReport report;
-  if (!dead_[node]) return report;
-  dead_[node] = false;
-  sync_placeable(node);
+  if (!is_dead(node)) return report;
+  placeable_.set(node);
 
   // Block report: everything written off at death is still on disk.
   const std::vector<BlockId> ledger = std::move(written_off_[node]);
@@ -497,16 +443,7 @@ NameNode::ReviveReport NameNode::revive_node(cluster::NodeIndex node) {
     const auto target =
         static_cast<std::size_t>(files_.at(info.file).replication);
     if (info.replicas.size() < target) {
-      if (!nodes_.has_space(node)) {
-        // Disk copy exists but the directory has no room to account
-        // for it (should not happen: death freed the space). Treat the
-        // copy as discarded.
-        report.trimmed.push_back({b, node});
-        continue;
-      }
       info.replicas.push_back(node);
-      nodes_.add_replica(node);
-      sync_placeable(node);
       index_add(b, node);
       ++stats_.replicas_restored;
       report.restored.push_back(b);
@@ -518,11 +455,9 @@ NameNode::ReviveReport NameNode::revive_node(cluster::NodeIndex node) {
     // has none, swap: the restore then *improves* domain spread.
     ++stats_.over_replicated_trimmed;
     const std::optional<cluster::NodeIndex> victim = trim_victim(info, node);
-    if (victim && nodes_.has_space(node)) {
+    if (victim) {
       remove_replica(b, *victim);
       info.replicas.push_back(node);
-      nodes_.add_replica(node);
-      sync_placeable(node);
       index_add(b, node);
       ++stats_.replicas_restored;
       report.restored.push_back(b);

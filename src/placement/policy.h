@@ -1,12 +1,12 @@
 // Block-placement policy interface.
 //
 // The NameNode asks the policy for one node per replica; eligibility
-// masking (capacity caps, replicas already placed on a node, node
+// masking (the fidelity cap, replicas already placed on a node, node
 // currently offline during a load) is the NameNode's job, so policies
 // stay pure sampling strategies.
 //
 // Eligibility travels as a cluster::NodeMask: the NameNode maintains it
-// incrementally on liveness/capacity changes and hands policies a
+// incrementally on liveness changes and hands policies a
 // word-packed view instead of materializing a std::vector<bool> per
 // draw.
 #pragma once

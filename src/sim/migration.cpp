@@ -41,7 +41,7 @@ void MigrationDriver::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 void MigrationDriver::abandon(const hdfs::ReplicaMove& move) {
-  // The reservation can already be gone: mark_node_dead sweeps pending
+  // The pending move can already be gone: mark_node_dead sweeps pending
   // moves into a dead node on the NameNode side.
   if (namenode_.has_pending_move(move.block, move.from, move.to)) {
     namenode_.abort_move(move.block, move.from, move.to);
@@ -102,7 +102,7 @@ void MigrationDriver::start_move(std::size_t index) {
 
   if (!namenode_.has_pending_move(move.block, move.from, move.to) ||
       !up_.test(move.to)) {
-    // Destination died (reservation swept) or is down: redraw a fresh
+    // Destination died (pending move swept) or is down: redraw a fresh
     // target from the active policy.
     abandon(move);
     const std::optional<cluster::NodeIndex> dst = draw_replica_target(
@@ -123,7 +123,7 @@ void MigrationDriver::start_move(std::size_t index) {
   const std::optional<cluster::NodeIndex> src =
       pick_transfer_source(info.replicas, network_, up_);
   if (!src) {
-    defer(index);  // every holder is down; keep the reservation
+    defer(index);  // every holder is down; keep the pending move
     return;
   }
   if (budget_bytes_per_s_ > 0.0) {

@@ -4,13 +4,13 @@
 // `adapt` command never needed but online rebalancing must have.
 //
 // Each submitted move must already be *pending* in the NameNode
-// (begin_move reserved destination space). The driver serves moves in
+// (begin_move recorded it). The driver serves moves in
 // submission order (FIFO) under two throttles: a concurrent-transfer
 // cap and an optional bytes/s budget share, so rebalance traffic can
 // never starve foreground job or recovery traffic. A transfer whose
 // source departs retries from another live holder with the
 // ReplicaMover's backoff (sim/replica_mover.h); a departed destination
-// aborts the reservation and redraws a fresh target from the active
+// aborts the pending move and redraws a fresh target from the active
 // placement policy. After the retry budget the move is abandoned (the
 // source replica is intact, so giving up is always safe).
 #pragma once
@@ -54,12 +54,12 @@ class MigrationDriver : public ReplicaMover {
   void set_on_committed(MoveFn fn) { on_committed_ = std::move(fn); }
   void set_metrics(obs::MetricsRegistry* metrics) override;
 
-  // Admit a move begin_move already reserved.
+  // Admit a move begin_move already recorded.
   void submit(const hdfs::ReplicaMove& move);
 
-  // Abandon all queued and in-flight moves, releasing every reservation
+  // Abandon all queued and in-flight moves, aborting every pending move
   // still held — called at job teardown so a NameNode that outlives the
-  // simulation carries no orphan reservations.
+  // simulation carries no orphan pending moves.
   void cancel_all();
 
   const MoveStats& move_stats() const { return move_stats_; }
@@ -68,7 +68,7 @@ class MigrationDriver : public ReplicaMover {
   // Start moves in submission order, gated by the budget.
   void drain() override;
   void land(const Flight& flight) override;
-  // Releases the move's reservation, if it still holds one.
+  // Aborts the move's pending record, if the NameNode still holds one.
   void abandon(const hdfs::ReplicaMove& move) override;
   // Start, drop (moot) or defer the pending move at `index`.
   void start_move(std::size_t index);

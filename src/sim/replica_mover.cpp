@@ -186,7 +186,7 @@ void ReplicaMover::fail_touching(cluster::NodeIndex node, bool as_source) {
     Flight failed = take_flight(i);
     failed.done.cancel();
     network_.abort(failed.grant, queue_.now());
-    // A migration keeps its reservation (when the destination survived):
+    // A migration keeps its pending move (when the destination survived):
     // the next start re-validates it and redraws only if it is gone.
     schedule_retry({failed.move, failed.retries, 0.0},
                    obs::TraceReason::kNodeDown);

@@ -101,7 +101,7 @@ class ReplicaMover {
   bool idle() const { return backlog() == 0; }
 
  protected:
-  // A copy waiting to start. `move.to` is the reserved destination for a
+  // A copy waiting to start. `move.to` is the pending destination for a
   // migration; a repair draws its destination when it starts.
   struct Item {
     hdfs::ReplicaMove move;

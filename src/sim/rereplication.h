@@ -11,8 +11,7 @@
 //
 // Source: the live replica holder whose uplink frees up earliest.
 // Destination: drawn from the active placement policy over nodes that are
-// up, not dead, not already holding the block, and with free space — the
-// caller refreshes the policy with current (lambda, mu) estimates via
+// up, not dead and not already holding the block — the caller refreshes the policy with current (lambda, mu) estimates via
 // set_policy whenever its availability beliefs change.
 #pragma once
 

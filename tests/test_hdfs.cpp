@@ -1,4 +1,4 @@
-// Mini-HDFS: NameNode metadata, DataNode accounting, client operations.
+// Mini-HDFS: NameNode metadata, the dead-node registry, client operations.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,24 +17,13 @@ using namespace adapt;
 using namespace adapt::hdfs;
 using adapt::common::Rng;
 
-TEST(DataNodes, CapacityAccounting) {
-  DataNodeDirectory dir({2, 0});  // node 0 capped at 2, node 1 unbounded
-  EXPECT_TRUE(dir.has_space(0));
-  dir.add_replica(0);
-  dir.add_replica(0);
-  EXPECT_FALSE(dir.has_space(0));
-  EXPECT_THROW(dir.add_replica(0), std::logic_error);
-  dir.remove_replica(0);
-  EXPECT_TRUE(dir.has_space(0));
-  EXPECT_EQ(dir.total_stored(), 1u);
-  EXPECT_THROW(dir.remove_replica(1), std::logic_error);
-}
-
-TEST(DataNodes, SkewMetric) {
-  DataNodeDirectory dir(4);
-  for (int i = 0; i < 4; ++i) dir.add_replica(0);
-  for (int i = 0; i < 4; ++i) dir.add_replica(1);
-  EXPECT_DOUBLE_EQ(dir.skew(), 4.0 / 2.0);
+// Replicas in the block map, over every block.
+std::uint64_t replica_count(const NameNode& nn) {
+  std::uint64_t total = 0;
+  for (BlockId b = 0; b < nn.block_count(); ++b) {
+    total += nn.block(b).replicas.size();
+  }
+  return total;
 }
 
 TEST(NameNode, CreateFilePlacesDistinctReplicas) {
@@ -51,13 +40,14 @@ TEST(NameNode, CreateFilePlacesDistinctReplicas) {
                                                 info.replicas.end());
     EXPECT_EQ(distinct.size(), 3u);
   }
-  EXPECT_EQ(nn.datanodes().total_stored(), 150u);
+  EXPECT_EQ(replica_count(nn), 150u);
 }
 
 TEST(NameNode, FailedCreateRollsBackAllPartialState) {
   // Replication 2 on a 2-node cluster where the filter bans node 1: the
   // second replica of block 0 has no eligible home, so the create must
-  // fail — and leave the namespace exactly as it found it.
+  // fail — and leave the namespace exactly as it found it. Eligibility
+  // is fixed for the call, so it fails on the first block.
   NameNode nn(2);
   Rng rng(7);
   const auto only_node0 = [](cluster::NodeIndex n) { return n == 0; };
@@ -66,32 +56,11 @@ TEST(NameNode, FailedCreateRollsBackAllPartialState) {
                std::runtime_error);
   EXPECT_FALSE(nn.has_file("f"));
   EXPECT_EQ(nn.block_count(), 0u);
-  EXPECT_EQ(nn.datanodes().total_stored(), 0u);
-  // The name and the capacity are free for a clean retry.
+  // The name is free for a clean retry.
   const FileId id =
       nn.create_file("f", 4, 2, placement::make_random_policy(2), rng);
   EXPECT_EQ(nn.file(id).blocks.size(), 4u);
-  EXPECT_EQ(nn.datanodes().total_stored(), 8u);
-}
-
-TEST(NameNode, FailedCreateUnwindsEarlierBlocksButNotEarlierFiles) {
-  // Both nodes hold 3 blocks: file "a" (2 blocks x 2 replicas) fits;
-  // file "b" (2 blocks x 2 replicas) runs out of space on its second
-  // block after placing its first — the rollback must drop both of b's
-  // blocks and every usage-counter increment, while "a" stays intact.
-  NameNode nn(std::vector<std::uint64_t>{3, 3}, NameNode::Options{});
-  Rng rng(11);
-  const FileId a =
-      nn.create_file("a", 2, 2, placement::make_random_policy(2), rng);
-  EXPECT_THROW(
-      nn.create_file("b", 2, 2, placement::make_random_policy(2), rng),
-      std::runtime_error);
-  EXPECT_FALSE(nn.has_file("b"));
-  EXPECT_EQ(nn.block_count(), 2u);
-  EXPECT_EQ(nn.datanodes().total_stored(), 4u);
-  for (const BlockId b : nn.file(a).blocks) {
-    EXPECT_EQ(nn.block(b).replicas.size(), 2u);
-  }
+  EXPECT_EQ(replica_count(nn), 8u);
 }
 
 TEST(NameNode, MarkNodeDeadWritesOffReplicasOnce) {
@@ -104,7 +73,7 @@ TEST(NameNode, MarkNodeDeadWritesOffReplicasOnce) {
   EXPECT_TRUE(nn.is_dead(0));
   EXPECT_EQ(affected.size(), before[0]);
   EXPECT_EQ(nn.file_distribution(id)[0], 0u);
-  EXPECT_EQ(nn.datanodes().total_stored(), 12u - before[0]);
+  EXPECT_EQ(replica_count(nn), 12u - before[0]);
   // Each affected block lost exactly its node-0 replica.
   for (const BlockId b : affected) {
     for (const auto n : nn.block(b).replicas) EXPECT_NE(n, 0u);
@@ -135,12 +104,12 @@ bool has_drop(const NameNode::ReviveReport& report, BlockId block,
 // mark_node_dead reads per-node block lists that the first death builds
 // and every replica mutation after it keeps current. After each kind of
 // mutation, and through a seeded random sequence of all of them, every
-// death must return exactly what a full scan finds. Two racks let
+// death must return exactly what a full scan finds, and the placement
+// mask must be exactly the nodes not declared dead. Two racks let
 // revive_node take its swap branch.
 TEST(NameNode, MarkNodeDeadMatchesAFullScan) {
   constexpr std::size_t kNodes = 8;
-  // 12 blocks a node: a 60-block create at replication 2 cannot fit.
-  NameNode nn(std::vector<std::uint64_t>(kNodes, 12), NameNode::Options{});
+  NameNode nn(kNodes);
   nn.set_fault_domains(
       std::make_shared<const cluster::FaultDomains>(
           std::vector<std::uint32_t>{0, 0, 0, 0, 1, 1, 1, 1},
@@ -152,11 +121,26 @@ TEST(NameNode, MarkNodeDeadMatchesAFullScan) {
     return static_cast<cluster::NodeIndex>(
         mask.nth_set(rng.uniform_index(mask.count())));
   };
+  // The nodes declared dead so far, kept apart from the NameNode.
+  cluster::NodeMask dead(kNodes);
+  const auto expect_mask = [&](const char* what) {
+    cluster::NodeMask live(kNodes, true);
+    live.and_not(dead);
+    EXPECT_EQ(nn.placement_mask().words(), live.words()) << what;
+  };
   int deaths = 0;
   const auto kill = [&](cluster::NodeIndex node) {
     const std::vector<BlockId> expected = blocks_held_by(nn, node);
     EXPECT_EQ(nn.mark_node_dead(node), expected) << "death " << deaths;
     ++deaths;
+    dead.set(node);
+    expect_mask("after a death");
+  };
+  const auto revive = [&](cluster::NodeIndex node) {
+    NameNode::ReviveReport report = nn.revive_node(node);
+    dead.reset(node);
+    expect_mask("after a revive");
+    return report;
   };
   const auto set_holders = [&nn](BlockId block,
                                  std::vector<cluster::NodeIndex> holders) {
@@ -167,7 +151,7 @@ TEST(NameNode, MarkNodeDeadMatchesAFullScan) {
 
   const FileId a = nn.create_file("a", 10, 2, policy, rng);
   kill(0);  // builds the lists
-  EXPECT_FALSE(nn.revive_node(0).restored.empty());
+  EXPECT_FALSE(revive(0).restored.empty());
 
   // Revive restores, trims its own redundant copy and swaps a holder.
   // c0 sits on racks 0 and 1 and gets a second rack-0 copy while node 6
@@ -181,19 +165,16 @@ TEST(NameNode, MarkNodeDeadMatchesAFullScan) {
   kill(6);
   nn.add_replica(c0, 3);
   nn.add_replica(c1, 5);
-  const NameNode::ReviveReport report = nn.revive_node(6);
+  const NameNode::ReviveReport report = revive(6);
   EXPECT_TRUE(has_drop(report, c0, 2));
   EXPECT_TRUE(has_drop(report, c1, 6));
   kill(2);
   kill(6);  // a second death of a revived node
-  nn.revive_node(2);
-  nn.revive_node(6);
+  revive(2);
+  revive(6);
 
-  // Creates after the lists exist, one of which runs out of space and
-  // rolls back the blocks it placed.
+  // A create after the lists exist.
   nn.create_file("b", 6, 2, policy, rng);
-  EXPECT_THROW(nn.create_file("huge", 60, 2, policy, rng),
-               std::runtime_error);
   kill(1);
 
   // add_replica and remove_replica.
@@ -218,10 +199,6 @@ TEST(NameNode, MarkNodeDeadMatchesAFullScan) {
     const BlockId block = rng.uniform_index(nn.block_count());
     const std::vector<cluster::NodeIndex> holders = nn.block(block).replicas;
     const cluster::NodeMask eligible = nn.eligibility_for_new_replica(block);
-    cluster::NodeMask dead(kNodes);
-    for (std::size_t n = 0; n < kNodes; ++n) {
-      if (nn.is_dead(static_cast<cluster::NodeIndex>(n))) dead.set(n);
-    }
     switch (rng.uniform_index(6)) {
       case 0:
         if (eligible.any()) nn.add_replica(block, pick(eligible));
@@ -249,22 +226,18 @@ TEST(NameNode, MarkNodeDeadMatchesAFullScan) {
         }
         break;
       case 4:
-        if (dead.any()) nn.revive_node(pick(dead));
+        if (dead.any()) revive(pick(dead));
         break;
       default:
-        try {
-          nn.create_file(std::to_string(files++),
-                         1 + static_cast<std::uint32_t>(rng.uniform_index(4)),
-                         2, policy, rng);
-        } catch (const std::runtime_error&) {
-          // Full: the rollback is what is under test.
-        }
+        nn.create_file(std::to_string(files++),
+                       1 + static_cast<std::uint32_t>(rng.uniform_index(4)),
+                       2, policy, rng);
         break;
     }
   }
   for (std::size_t n = 0; n < kNodes; ++n) {
     const auto node = static_cast<cluster::NodeIndex>(n);
-    if (nn.is_dead(node)) nn.revive_node(node);
+    if (dead.test(node)) revive(node);
     kill(node);
   }
   EXPECT_GT(deaths, 30);
@@ -329,7 +302,7 @@ TEST(CappedPolicy, NeverExceedsCap) {
     ++first[nn.block(nn.file(id).blocks[b]).replicas[0]];
   }
   EXPECT_EQ(first, (std::vector<std::uint64_t>{30, 30, 30}));
-  EXPECT_EQ(nn.datanodes().total_stored(), 100u);
+  EXPECT_EQ(replica_count(nn), 100u);
 }
 
 TEST(CappedPolicy, ZeroCapDisables) {

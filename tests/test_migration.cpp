@@ -100,13 +100,14 @@ TEST(MigrationDriver, CommitsOnlyAfterTransferCompletes) {
   DriverHarness h(4);
   const auto blocks = h.load({0});
   h.submit(blocks[0], 0, 2);
-  // Mid-flight probe: the destination holds reserved space but NO
-  // readable replica until the bytes have landed (t = 8 s here).
+  // Mid-flight probe: the destination is the one pending target but
+  // holds NO readable replica until the bytes have landed (t = 8 s
+  // here).
   h.queue.schedule(4.0, [&] {
     EXPECT_EQ(h.nn.block(blocks[0]).replicas,
               std::vector<cluster::NodeIndex>{0});
     EXPECT_TRUE(h.nn.has_pending_move(blocks[0], 0, 2));
-    EXPECT_EQ(h.nn.datanodes().stored(2), 1u);
+    EXPECT_EQ(h.nn.pending_moves().size(), 1u);
   });
   h.run();
   EXPECT_EQ(h.nn.block(blocks[0]).replicas,
@@ -143,13 +144,13 @@ TEST(MigrationDriver, DestinationDeathMidTransferRedrawsTarget) {
   ASSERT_EQ(h.nn.block(blocks[0]).replicas.size(), 1u);
   const cluster::NodeIndex landed = h.nn.block(blocks[0]).replicas[0];
   EXPECT_TRUE(landed == 1u || landed == 3u);
-  EXPECT_EQ(h.nn.datanodes().stored(2), 0u);  // old reservation released
+  EXPECT_TRUE(h.nn.pending_moves().empty());  // old move into 2 dropped
   EXPECT_GE(h.driver->move_stats().redraws, 1u);
   EXPECT_EQ(h.driver->stats().landed, 1u);
 }
 
 TEST(MigrationDriver, DestinationWrittenOffWhileUpRedrawsTarget) {
-  // A false dead declaration sweeps the reservation into node 2 while
+  // A false dead declaration sweeps the pending move into node 2 while
   // the node stays up: the flight into it must redraw rather than
   // commit a move the NameNode no longer holds.
   DriverHarness h(4);
@@ -205,11 +206,10 @@ TEST(MigrationDriver, RetryBudgetExhaustionReleasesReservation) {
   EXPECT_EQ(h.driver->stats().giveups, 1u);
   EXPECT_EQ(h.driver->stats().landed, 0u);
   // Giving up is safe: the source replicas are intact and nothing is
-  // pending or reserved anymore.
+  // pending anymore.
   const std::vector<cluster::NodeIndex> expect = {0, 1};
   EXPECT_EQ(h.nn.block(blocks[0]).replicas, expect);
   EXPECT_TRUE(h.nn.pending_moves().empty());
-  EXPECT_EQ(h.nn.datanodes().stored(2), 0u);
 }
 
 TEST(MigrationDriver, MootMoveIsDroppedWhenSourceReplicaVanished) {
@@ -224,7 +224,8 @@ TEST(MigrationDriver, MootMoveIsDroppedWhenSourceReplicaVanished) {
   EXPECT_EQ(h.driver->move_stats().cancelled, 1u);
   EXPECT_EQ(h.driver->stats().started, 0u);
   EXPECT_TRUE(h.nn.pending_moves().empty());
-  EXPECT_EQ(h.nn.datanodes().stored(2), 0u);
+  EXPECT_EQ(h.nn.block(blocks[0]).replicas,
+            std::vector<cluster::NodeIndex>{1});
 }
 
 TEST(MigrationDriver, CancelAllReleasesQueuedAndInFlightReservations) {
@@ -240,12 +241,10 @@ TEST(MigrationDriver, CancelAllReleasesQueuedAndInFlightReservations) {
   EXPECT_EQ(h.driver->move_stats().cancelled, 3u);
   EXPECT_EQ(h.driver->stats().landed, 0u);
   EXPECT_TRUE(h.nn.pending_moves().empty());
-  EXPECT_EQ(h.nn.datanodes().stored(3), 0u);
-  EXPECT_EQ(h.nn.datanodes().stored(4), 0u);
-  EXPECT_EQ(h.nn.datanodes().stored(5), 0u);
-  // Replicas untouched: cancelling never loses data.
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    EXPECT_EQ(h.nn.block(blocks[i]).replicas.size(), 1u);
+  // Replicas untouched: cancelling never loses or moves data.
+  for (cluster::NodeIndex i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(h.nn.block(blocks[i]).replicas,
+              std::vector<cluster::NodeIndex>{i});
   }
 }
 

@@ -1,6 +1,6 @@
 // Rebalancer pending-move protocol: begin/commit/abort state machine,
 // rebalance_file plan semantics (metadata untouched until commit), the
-// dead-node sweep of in-flight reservations, and the client-side
+// dead-node sweep of in-flight moves, and the client-side
 // liveness fixes (cp source selection, charge_transfer guards).
 #include <gtest/gtest.h>
 
@@ -39,8 +39,7 @@ TEST(PendingMove, BeginReservesSpaceWithoutPublishingReplica) {
   // No readable replica at the destination...
   EXPECT_EQ(f.nn.block(f.block).replicas,
             std::vector<cluster::NodeIndex>{0});
-  // ...but the space is held and the move is visible as pending.
-  EXPECT_EQ(f.nn.datanodes().stored(2), 1u);
+  // ...but the move is visible as pending.
   EXPECT_TRUE(f.nn.has_pending_move(f.block, 0, 2));
   ASSERT_EQ(f.nn.pending_moves().size(), 1u);
   EXPECT_EQ(f.nn.pending_moves()[0].to, 2u);
@@ -50,11 +49,9 @@ TEST(PendingMove, CommitFlipsMetadataOnce) {
   MoveFixture f;
   f.nn.begin_move(f.block, 0, 2);
   f.nn.commit_move(f.block, 0, 2);
+  // The replica moved, not doubled.
   EXPECT_EQ(f.nn.block(f.block).replicas,
             std::vector<cluster::NodeIndex>{2});
-  // The reservation became the replica: usage moved, not doubled.
-  EXPECT_EQ(f.nn.datanodes().stored(2), 1u);
-  EXPECT_EQ(f.nn.datanodes().stored(0), 0u);
   EXPECT_TRUE(f.nn.pending_moves().empty());
   // Committing again is a protocol violation.
   EXPECT_THROW(f.nn.commit_move(f.block, 0, 2), std::logic_error);
@@ -64,7 +61,7 @@ TEST(PendingMove, AbortReleasesReservation) {
   MoveFixture f;
   f.nn.begin_move(f.block, 0, 2);
   f.nn.abort_move(f.block, 0, 2);
-  EXPECT_EQ(f.nn.datanodes().stored(2), 0u);
+  EXPECT_TRUE(f.nn.pending_moves().empty());
   EXPECT_EQ(f.nn.block(f.block).replicas,
             std::vector<cluster::NodeIndex>{0});
   EXPECT_FALSE(f.nn.has_pending_move(f.block, 0, 2));
@@ -103,24 +100,26 @@ TEST(PendingMove, DeadDestinationSweepsItsPendingMoves) {
   MoveFixture f;
   f.nn.begin_move(f.block, 0, 2);
   f.nn.mark_node_dead(2);
-  // The reservation was auto-aborted with the death.
+  // The move was dropped with the death.
   EXPECT_FALSE(f.nn.has_pending_move(f.block, 0, 2));
   EXPECT_TRUE(f.nn.pending_moves().empty());
+  // Node 2 never held the block, so the revive restores nothing there.
   f.nn.revive_node(2);
-  EXPECT_EQ(f.nn.datanodes().stored(2), 0u);
+  EXPECT_TRUE(f.nn.pending_moves().empty());
+  EXPECT_EQ(f.nn.block(f.block).replicas,
+            std::vector<cluster::NodeIndex>{0});
 }
 
 TEST(PendingMove, CommitWithReplicaAlreadyAtDestinationReleasesOnly) {
   // Re-replication can land its own copy at the migration's destination
-  // while the move is on the wire; the commit must then release the
-  // reservation instead of double-registering the replica.
+  // while the move is on the wire; the commit must then only drop the
+  // pending move instead of double-registering the replica.
   MoveFixture f;
   f.nn.begin_move(f.block, 0, 2);
   f.nn.add_replica(f.block, 2);  // concurrent pipeline's copy
   f.nn.commit_move(f.block, 0, 2);
   const std::vector<cluster::NodeIndex> expect = {0, 2};
   EXPECT_EQ(f.nn.block(f.block).replicas, expect);
-  EXPECT_EQ(f.nn.datanodes().stored(2), 1u);
   EXPECT_TRUE(f.nn.pending_moves().empty());
 }
 
@@ -146,19 +145,19 @@ TEST(Rebalance, PlanIsPendingUntilCommitted) {
   const auto moves =
       nn.rebalance_file(id, placement::make_adapt_policy(et, 40), rng);
   ASSERT_FALSE(moves.empty());
-  // Plan only: metadata identical, every move registered as pending,
-  // destination space reserved.
+  // Plan only: metadata identical, every move registered as pending.
   EXPECT_EQ(nn.file_distribution(id), before);
   EXPECT_EQ(nn.pending_moves().size(), moves.size());
   for (const ReplicaMove& move : moves) {
     EXPECT_TRUE(nn.has_pending_move(move.block, move.from, move.to));
   }
-  // Aborting the whole plan restores the exact original accounting.
+  // Aborting the whole plan leaves nothing pending and the metadata
+  // as it was.
   for (const ReplicaMove& move : moves) {
     nn.abort_move(move.block, move.from, move.to);
   }
   EXPECT_EQ(nn.file_distribution(id), before);
-  EXPECT_EQ(nn.datanodes().total_stored(), 40u);
+  EXPECT_TRUE(nn.pending_moves().empty());
 }
 
 TEST(Rebalance, FilterExcludingAllButHoldersKeepsEveryReplica) {
@@ -187,7 +186,7 @@ TEST(Rebalance, FilterExcludingAllButHoldersKeepsEveryReplica) {
     EXPECT_TRUE(holders.count(move.to) > 0);
     nn.commit_move(move.block, move.from, move.to);
   }
-  EXPECT_EQ(nn.datanodes().total_stored(), 60u);
+  EXPECT_TRUE(nn.pending_moves().empty());
   for (const BlockId b : nn.file(id).blocks) {
     EXPECT_EQ(nn.block(b).replicas.size(), 2u);
     for (const cluster::NodeIndex n : nn.block(b).replicas) {
