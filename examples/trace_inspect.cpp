@@ -1,9 +1,9 @@
 // Trace inspector: replay a JSONL event trace written by any bench's
 // --trace flag and print summary tables — per-run event counts, the
 // busiest per-node timelines, and the trace-derived recovery overhead
-// (downtime weighted by slots while a node still held undone home
-// tasks), which can be audited against the JobResult accounting in the
-// matching --json report.
+// (downtime while a node still held undone home tasks), which can be
+// audited against the JobResult accounting in the matching --json
+// report.
 //
 // With --spans it additionally (or instead) folds a span-profile stream
 // written by a bench's --spans flag into per-phase self-time tables:
@@ -94,7 +94,7 @@ void print_run(std::uint64_t run_index, const obs::RunObservations& run,
   std::printf("\ntotal downtime %s, total busy %s\n",
               common::format_seconds(summary.total_downtime).c_str(),
               common::format_seconds(summary.total_busy).c_str());
-  std::printf("recovery (downtime x slots with undone home tasks): "
+  std::printf("recovery (downtime with undone home tasks): "
               "%.17g node-seconds\n",
               summary.recovery_node_seconds);
 

@@ -68,8 +68,8 @@ struct AvailabilityGroup {
 };
 const std::vector<AvailabilityGroup>& table2_groups();
 
-// Every emulated node has one map slot and the default 64 MiB blocks;
-// the cluster is flat. "Interruptions are injected based on the assumed
+// Every emulated node has the default 64 MiB blocks; the cluster is
+// flat. "Interruptions are injected based on the assumed
 // distributions": exponential inter-arrivals and exponential service
 // with each group's mean.
 struct EmulationConfig {
@@ -83,7 +83,6 @@ struct EmulationConfig {
 
 Cluster emulated_cluster(const EmulationConfig& config);
 
-// Every node has one map slot.
 struct TraceClusterConfig {
   double bandwidth_bps = common::mbps(8);  // Table 4 default
   std::uint64_t block_size_bytes = 64 * common::kMiB;

@@ -17,9 +17,8 @@ struct NodeState {
   bool down = false;
   common::Seconds down_since = 0.0;
   common::Seconds recovery_open = -1.0;
-  std::uint32_t slots = 1;
   std::uint32_t undone_home = 0;
-  std::uint32_t running = 0;        // attempts currently holding a slot
+  std::uint32_t running = 0;        // attempts currently running here
   common::Seconds busy_from = 0.0;
 };
 
@@ -38,8 +37,7 @@ ReplaySummary replay(const std::vector<TraceRecord>& records) {
 
   const auto close_recovery = [&](NodeState& ns, common::Seconds now) {
     if (ns.recovery_open >= 0.0) {
-      out.recovery_node_seconds +=
-          std::max(0.0, now - ns.recovery_open) * ns.slots;
+      out.recovery_node_seconds += std::max(0.0, now - ns.recovery_open);
       ns.recovery_open = -1.0;
     }
   };
@@ -64,7 +62,6 @@ ReplaySummary replay(const std::vector<TraceRecord>& records) {
         NodeState& ns = nodes[r.node];
         ns.down = true;
         ns.down_since = r.t;
-        ns.slots = r.aux > 0 ? r.aux : 1;
         if (ns.undone_home > 0) ns.recovery_open = r.t;
         grow_to(out.nodes, r.node);
         ++out.nodes[r.node].transitions;

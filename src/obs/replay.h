@@ -2,11 +2,11 @@
 // from a recorded event stream, independently of the simulator.
 //
 // The replayer re-derives the paper's "recovery" overhead (node downtime
-// while the node still holds undone home tasks, weighted by slots) from
-// nothing but placement decisions, node up/down transitions and attempt
-// completions — so a trace can be audited against JobResult without
-// trusting the simulator's own bookkeeping. Used by the trace_inspect
-// example and the observability tests.
+// while the node still holds undone home tasks) from nothing but
+// placement decisions, node up/down transitions and attempt completions
+// — so a trace can be audited against JobResult without trusting the
+// simulator's own bookkeeping. Used by the trace_inspect example and the
+// observability tests.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@ struct NodeTotals {
   std::uint64_t transitions = 0;      // down + up events
   std::uint64_t attempts = 0;         // attempts started here
   common::Seconds downtime = 0.0;     // clipped to [0, elapsed]
-  common::Seconds busy = 0.0;         // >= 1 attempt held a slot here
+  common::Seconds busy = 0.0;         // >= 1 attempt ran here
 };
 
 struct ReplaySummary {
@@ -36,7 +36,7 @@ struct ReplaySummary {
   common::Seconds total_downtime = 0.0;
   common::Seconds total_busy = 0.0;
   // Downtime while the node still had undone home tasks, in
-  // slot-seconds — the trace-derived equivalent of
+  // node-seconds — the trace-derived equivalent of
   // JobResult::overhead.recovery.
   double recovery_node_seconds = 0.0;
 

@@ -66,7 +66,7 @@ constexpr EventSchema kSchema[] = {
      {{"block", kTask}, {"replica", kAux}, {"node", kNode},
       {"quote", kV0, kQuote}}},
     {"job_start", {{"nodes", kNode}, {"tasks", kTask}}},
-    {"node_down", {{"node", kNode}, {"slots", kAux}}},
+    {"node_down", {{"node", kNode}}},
     {"node_up", {{"node", kNode}}},
     {"attempt_start",
      {{"task", kTask}, {"node", kNode}, {"src", kPeer, kEndpoint},

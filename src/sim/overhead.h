@@ -26,7 +26,7 @@ struct OverheadBreakdown {
   double misc = 0.0;       // derived residual, never negative
 
   common::Seconds elapsed = 0.0;  // map phase makespan
-  std::size_t node_count = 0;
+  std::size_t node_count = 0;     // cluster size; a node runs one task
 
   // Derive misc from the conservation identity
   //   node_count * elapsed = base + rework + recovery + migration + misc

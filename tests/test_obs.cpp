@@ -215,7 +215,7 @@ TEST(Tracer, RingOverflowKeepsNewestAndCountsDrops) {
 
 // What to_jsonl writes for the records the test below builds.
 constexpr const char* kEveryEventTypeJsonl = R"jsonl({"run": 0, "t": 0.33333333333333331, "ev": "placement", "block": 1000, "replica": 0, "node": 17}
-{"run": 0, "t": 0.58333333333333326, "ev": "node_down", "node": 19, "slots": 2}
+{"run": 0, "t": 0.58333333333333326, "ev": "node_down", "node": 19}
 {"run": 0, "t": 0.83333333333333326, "ev": "attempt_start", "task": 1004, "node": 21, "src": -1, "spec": 1, "ticket": 75}
 {"run": 0, "t": 1.0833333333333333, "ev": "attempt_kill", "task": 1006, "node": 23, "reason": "source_timeout"}
 {"run": 0, "t": 1.3333333333333333, "ev": "transfer_stall", "task": 1008, "src": -1, "ticket": 79}
@@ -328,6 +328,32 @@ TEST(Trace, JsonlRoundTripsEveryEventType) {
       EXPECT_EQ(parsed[run].records[i].t, runs[run].records[i].t);
     }
   }
+
+  // Traces written while node_down still carried "slots" must load, to
+  // the record the same line without the key gives.
+  const auto parse_one = [](const std::string& text) {
+    const std::vector<obs::RunObservations> one =
+        obs::parse_jsonl(text + "\n");
+    EXPECT_EQ(one.size(), 1u);
+    EXPECT_EQ(one.at(0).records.size(), 1u);
+    return one.at(0).records.at(0);
+  };
+  const std::string line =
+      R"({"run": 0, "t": 2.5, "ev": "node_down", "node": 19)";
+  const obs::TraceRecord old_line = parse_one(line + R"(, "slots": 1})");
+  const obs::TraceRecord new_line = parse_one(line + "}");
+  EXPECT_EQ(old_line.type, obs::EventType::kNodeDown);
+  EXPECT_EQ(old_line.node, 19u);
+  EXPECT_EQ(old_line.t, new_line.t);
+  EXPECT_EQ(old_line.type, new_line.type);
+  EXPECT_EQ(old_line.reason, new_line.reason);
+  EXPECT_EQ(old_line.node, new_line.node);
+  EXPECT_EQ(old_line.peer, new_line.peer);
+  EXPECT_EQ(old_line.task, new_line.task);
+  EXPECT_EQ(old_line.aux, new_line.aux);
+  EXPECT_EQ(old_line.ticket, new_line.ticket);
+  EXPECT_EQ(old_line.v0, new_line.v0);
+  EXPECT_EQ(old_line.v1, new_line.v1);
 }
 
 TEST(Trace, DroppedMarkerRoundTrips) {
@@ -456,9 +482,9 @@ TEST(Obs, ExperimentCollectsTraceAndMetrics) {
 }
 
 TEST(Obs, ReplayRecoveryMatchesSimulatorAccounting) {
-  // The replayer re-derives the paper's recovery overhead (downtime x
-  // slots while the node holds undone home tasks) from placement +
-  // transition + completion events alone. It must agree with the
+  // The replayer re-derives the paper's recovery overhead (downtime
+  // while the node holds undone home tasks) from placement + transition
+  // + completion events alone. It must agree with the
   // simulator's own bookkeeping — this is the audit that catches a
   // missing or mis-ordered trace record.
   cluster::EmulationConfig emu;

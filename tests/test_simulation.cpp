@@ -62,17 +62,6 @@ TEST(Simulation, FailureFreeSingleNodeIsSerial) {
   EXPECT_DOUBLE_EQ(r.overhead.misc, 0.0);
 }
 
-TEST(Simulation, SlotsRunConcurrently) {
-  Cluster cluster = bare_cluster(1);
-  cluster.nodes[0].slots = 2;
-  hdfs::NameNode nn(1);
-  const auto file = plant_file(nn, {{0}, {0}, {0}, {0}});
-  SimJobConfig config;
-  config.gamma = 10.0;
-  MapReduceSimulation sim(cluster, nn, file, config);
-  EXPECT_DOUBLE_EQ(sim.run().elapsed, 20.0);
-}
-
 TEST(Simulation, RemoteExecutionPaysMigration) {
   // All blocks on node 0; node 1 helps by fetching over the network.
   const Cluster cluster = bare_cluster(2);
