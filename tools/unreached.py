@@ -10,10 +10,14 @@ under src/ it prints
   unreached   functions no run executed, tests included;
   tests only  functions only the ctest phase executed.
 
-Counts come from `gcov --json-format --stdout`; a function inlined into
-several objects counts as reached when any object executed it.
+With --lines it also prints, per file, the same two sets for source
+lines, as ranges over the file's executable lines, and the totals.
 
-  python3 tools/unreached.py [--build-dir DIR]
+Counts come from `gcov --json-format --stdout`; a function or line
+compiled into several objects counts as reached when any object
+executed it.
+
+  python3 tools/unreached.py [--build-dir DIR] [--lines]
 
 The builds go to DIR (default .coverage_build/; a rerun rebuilds only
 what changed). The whole pass takes about 10 minutes on a 4-vCPU host,
@@ -100,13 +104,15 @@ def reset_counters(build):
         gcda.unlink()
 
 
-def function_counts(builds):
-    """(file, line, name) -> max execution count over every object.
+def coverage_counts(builds):
+    """Max execution counts over every object, for functions keyed by
+    (file, line, name) and for lines keyed by (file, line).
 
     Every object counts, not only the library's: a function defined in a
     src/ header is emitted into the benches, examples and tests that
-    call it. Only functions whose source lies under src/ are kept."""
+    call it. Only sources under src/ are kept."""
     counts = {}
+    lines = {}
     for build in builds:
         for notes in sorted(pathlib.Path(build).rglob("*.gcno")):
             proc = subprocess.run(
@@ -128,12 +134,31 @@ def function_counts(builds):
                                fn.get("demangled_name", fn["name"]))
                         counts[key] = max(counts.get(key, 0),
                                           fn["execution_count"])
-    return counts
+                    for ln in f["lines"]:
+                        key = (str(rel), ln["line_number"])
+                        lines[key] = max(lines.get(key, 0), ln["count"])
+    return counts, lines
+
+
+def line_ranges(executable, chosen):
+    """Runs of `chosen` over the sorted `executable` lines, as text."""
+    runs = []
+    for line in executable:
+        if line not in chosen:
+            runs.append(None)
+        elif runs and runs[-1] is not None:
+            runs[-1][1] = line
+        else:
+            runs.append([line, line])
+    return ", ".join(str(a) if a == b else f"{a}-{b}"
+                     for a, b in filter(None, runs))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default=str(REPO / ".coverage_build"))
+    parser.add_argument("--lines", action="store_true",
+                        help="also list tests-only and unreached lines")
     args = parser.parse_args()
 
     root = pathlib.Path(args.build_dir).resolve()
@@ -153,12 +178,12 @@ def main():
         for mode in ("rep", "traced"):
             run([str(suite_build / "suite_driver"), mode, "--workload",
                  workload, "--seed", "1", "--scale", "16"], cwd=work)
-    workloads = function_counts([repo_build, suite_build])
+    workloads, workload_lines = coverage_counts([repo_build, suite_build])
 
     reset_counters(repo_build)
     run(["ctest", "--test-dir", str(repo_build), "-j",
          str(os.cpu_count() or 1)])
-    tests = function_counts([repo_build])
+    tests, test_lines = coverage_counts([repo_build])
 
     by_file = collections.defaultdict(lambda: ([], []))
     for key in sorted(set(workloads) | set(tests)):
@@ -167,13 +192,40 @@ def main():
         file, line, name = key
         by_file[file][0 if tests.get(key, 0) == 0 else 1].append(
             f"{line}: {name}")
-    for file in sorted(by_file):
+
+    # Per file: every executable line, and the unreached and tests-only
+    # ones.
+    lines_by_file = collections.defaultdict(lambda: ([], set(), set()))
+    if args.lines:
+        for key in sorted(set(workload_lines) | set(test_lines)):
+            file, line = key
+            executable, unreached, tests_only = lines_by_file[file]
+            executable.append(line)
+            if workload_lines.get(key, 0) > 0:
+                continue
+            (unreached if test_lines.get(key, 0) == 0
+             else tests_only).add(line)
+
+    totals = [0, 0]
+    for file in sorted(set(by_file) | set(lines_by_file)):
         unreached, tests_only = by_file[file]
+        executable, lines_unreached, lines_tests_only = lines_by_file[file]
+        if not (unreached or tests_only or lines_unreached
+                or lines_tests_only):
+            continue
         print(f"src/{file}")
         for label, names in (("unreached", unreached),
                              ("tests only", tests_only)):
             for name in names:
                 print(f"  {label:10}  {name}")
+        for i, (label, chosen) in enumerate(
+                (("lines unreached", lines_unreached),
+                 ("lines tests only", lines_tests_only))):
+            totals[i] += len(chosen)
+            if chosen:
+                print(f"  {label:16}  {line_ranges(executable, chosen)}")
+    if args.lines:
+        print(f"lines: {totals[0]} unreached, {totals[1]} tests only")
     return 0
 
 
