@@ -5,7 +5,7 @@
 // "which nodes qualify right now". A std::vector<bool> answers that one
 // bit at a time and has to be rebuilt O(n) per draw; NodeMask packs the
 // set into 64-bit words so the NameNode can maintain it incrementally
-// (flip one bit when a node fills up or dies) and combine masks
+// (flip one bit when a node dies or revives) and combine masks
 // word-parallel (eligible = placeable & filter, minus the cap mask).
 // Tail bits past size() are kept zero as a class invariant, so count(),
 // any() and the word-wise combines never need per-bit masking.
